@@ -162,7 +162,7 @@ def cmd_regularity(args):
     box = _parse_box(args.box) if args.box else _default_box(M)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always", BoxBoundaryWarning)
-        region = multigraded_regularity(M, box, threads=args.threads)
+        region = multigraded_regularity(M, box)
     _render_region(args, region, seen)
     return 0
 
@@ -173,7 +173,7 @@ def cmd_linear_truncations(args):
     mode = args.mode or "L"
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always", BoxBoundaryWarning)
-        region = truncation_region(M, mode, box, threads=args.threads)
+        region = truncation_region(M, mode, box)
     _render_region(args, region, seen)
     return 0
 
@@ -297,7 +297,6 @@ def build_parser():
                        help="minimal elements of the regularity region")
     _add_common(s)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(fn=cmd_regularity)
 
     s = sub.add_parser("linear-truncations",
@@ -306,7 +305,6 @@ def build_parser():
     _add_common(s)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
     s.add_argument("--mode", choices=("L", "Q"), default="L")
-    s.add_argument("--threads", type=int, default=1)
     s.set_defaults(fn=cmd_linear_truncations)
 
     s = sub.add_parser("betti-bounds",

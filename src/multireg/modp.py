@@ -1,156 +1,64 @@
-"""Dense linear algebra over a prime field, on int64 numpy arrays.
+"""Exact sparse linear algebra over a prime field.
 
-All matrices hold representatives in [0, p).  With p < 2^15.5 the update
-``A - outer(col, row)`` stays well inside int64, so one reduction per
-pivot suffices.
+One kernel: ``rref`` reads a dense matrix once into sparse rows of
+Python ints, so the arithmetic is exact for every prime, and eliminates
+them into an echelon basis keyed by leading column, sparsest rows
+first.  ``rank`` is its pivot count.  Callers build the graded blocks
+and Ext matrices as dense int64 arrays, which are typically a few
+percent dense.
 """
 
 import numpy as np
 
 
-def _as_modp(A, p):
-    A = np.asarray(A, dtype=np.int64)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    return np.mod(A, p)
+def _axpy(row, f, other, p):
+    """row += f * other over F_p, for sparse rows {column: residue}."""
+    for j, v in other.items():
+        x = (row.get(j, 0) + f * v) % p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def rref(A, p):
     """Row-reduce A over F_p.
 
-    Returns (R, pivots) where R is the reduced row echelon form and
-    pivots the list of pivot column indices.  len(pivots) is the rank.
+    Returns (R, pivots): R is the reduced row echelon form of A without
+    its zero rows, as an int64 array of residues in [0, p), and pivots
+    the ascending pivot columns.  len(pivots) is the rank.
     """
-    R = _as_modp(A, p).copy()
-    m, n = R.shape
-    r = 0
-    pivots = []
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), -1, p)
-        R[r] = (R[r] * inv) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        nzrows = np.nonzero(col)[0]
-        if nzrows.size:
-            R[nzrows] = (R[nzrows] - np.outer(col[nzrows], R[r])) % p
-        pivots.append(c)
-        r += 1
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    m, n = A.shape
+    rows = [{} for _ in range(m)]
+    ii, jj = np.nonzero(A)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist()):
+        v = int(v) % p
+        if v:
+            rows[i][j] = v
+    echelon = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            lead = echelon.get(c)
+            if lead is None:
+                inv = pow(row[c], -1, p)
+                echelon[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            _axpy(row, -row[c], lead, p)
+    pivots = sorted(echelon)
+    # back-substitute from the last pivot up: every row used is reduced
+    for c in reversed(pivots):
+        row = echelon[c]
+        for k in [k for k in row if k != c and k in echelon]:
+            _axpy(row, -row[k], echelon[k], p)
+    R = np.zeros((len(pivots), n), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        R[i, list(echelon[c])] = list(echelon[c].values())
     return R, pivots
 
 
 def rank(A, p):
-    if A.size == 0:
-        return 0
-    A = np.asarray(A)
-    if min(A.shape) >= 192:
-        return _rank_blocked(A, p)
     return len(rref(A, p)[1])
-
-
-def _rank_blocked(A, p, panel=96):
-    """Rank via right-looking blocked elimination: panels are factored
-    with vectorized row operations, pivot multipliers kept in place,
-    and each trailing submatrix updated with one float64 matmul.
-    Products of residues and their short sums stay below 2^53, so the
-    float arithmetic is exact."""
-    A = np.mod(np.asarray(A, dtype=np.int64), p).astype(np.float64)
-    m, n = A.shape
-    r = 0
-    c = 0
-    while r < m and c < n:
-        c1 = min(c + panel, n)
-        pivots = []
-        while c < c1 and r < m:
-            # advance over zero columns inside the panel window
-            col = A[r:, c]
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                c += 1
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                A[[r, i]] = A[[i, r]]
-            inv = pow(int(A[r, c]), -1, p)
-            A[r, c:c1] = np.mod(A[r, c:c1] * inv, p)
-            below = A[r + 1:, c].copy()
-            nzr = np.nonzero(below)[0]
-            if nzr.size:
-                A[r + 1 + nzr, c:c1] = np.mod(
-                    A[r + 1 + nzr, c:c1]
-                    - np.outer(below[nzr], A[r, c:c1]), p)
-                # store the unit-pivot multipliers for the Schur step
-                A[r + 1 + nzr, c] = below[nzr]
-            pivots.append((r, c, inv))
-            r += 1
-            c += 1
-        if c1 >= n or not pivots:
-            c = max(c, c1)
-            continue
-        r0, r1 = pivots[0][0], r
-        # forward-substitute the deferred trailing parts of the pivot
-        # rows, in elimination order
-        for idx, (rr, cc, inv) in enumerate(pivots):
-            if inv != 1:
-                A[rr, c1:] = np.mod(A[rr, c1:] * inv, p)
-            later = [(rr2, A[rr2, cc]) for rr2, _, _ in pivots[idx + 1:]]
-            for rr2, f in later:
-                if f:
-                    A[rr2, c1:] = np.mod(A[rr2, c1:] - f * A[rr, c1:], p)
-        # one matmul updates everything below the panel
-        if r1 < m:
-            L = A[r1:, [cc for _, cc, _ in pivots]]
-            U = A[r0:r1, c1:]
-            if L.size and U.size:
-                A[r1:, c1:] = np.mod(A[r1:, c1:] - L @ U, p)
-        c = c1
-    return r
-
-
-def nullspace(A, p):
-    """Basis of the right kernel of A over F_p, as columns of a matrix.
-
-    Uses the standard rref construction: free columns get a unit entry
-    and pivot columns pick up the negated reduced entries.
-    """
-    A = _as_modp(A, p)
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    R, pivots = rref(A, p)
-    free = [c for c in range(n) if c not in set(pivots)]
-    K = np.zeros((n, len(free)), dtype=np.int64)
-    for j, c in enumerate(free):
-        K[c, j] = 1
-        for i, pc in enumerate(pivots):
-            K[pc, j] = (-int(R[i, c])) % p
-    return K
-
-
-def solve(A, b, p):
-    """One solution x of A x = b over F_p, or None if inconsistent.
-
-    b may be a vector or a matrix of stacked right-hand sides.
-    """
-    A = _as_modp(A, p)
-    b = np.mod(np.asarray(b, dtype=np.int64), p)
-    vec = b.ndim == 1
-    if vec:
-        b = b[:, None]
-    m, n = A.shape
-    R, pivots = rref(np.hstack([A, b]), p)
-    k = b.shape[1]
-    for i in range(len(pivots) - 1, -1, -1):
-        if pivots[i] >= n:
-            return None
-    x = np.zeros((n, k), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, n:]
-    return x[:, 0] if vec else x

@@ -42,7 +42,7 @@ class GradedPieces:
         return got
 
     def __init__(self, M):
-        self.M = M
+        self.F0 = M.F0  # not M: the cache entry must not keep its key alive
         self.ring = M.ring
         self.gb = buchberger(M.relations)
         self._basis = {}
@@ -58,7 +58,7 @@ class GradedPieces:
             return got
         leads = self.gb._leads
         out = []
-        for comp, mono in free_basis_of_degree(self.M.F0, d):
+        for comp, mono in free_basis_of_degree(self.F0, d):
             if any(mono_divides(lm, mono) for lm, _ in leads.get(comp, ())):
                 continue
             out.append((comp, mono))

@@ -14,7 +14,6 @@ cohomology oracle cross-checks from the other side.
 
 import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import NotSaturatedError
 from .groebner import (
@@ -148,16 +147,13 @@ def _truncation_verdict(M, d, mode, cache=None):
     return ok and v.gen_degree == tuple(d)
 
 
-def truncation_region(M, mode, box, threads=1, cache=None):
+def truncation_region(M, mode, box, cache=None):
     """Minimal elements, within a box, of the set of degrees whose
     truncation has a linear (mode 'L') or quasilinear (mode 'Q')
     resolution generated in that degree.
 
     The set is upward closed, so a lexicographic sweep from the lower
-    corner can skip every point above an already-found element; with
-    ``threads`` > 1 the surviving candidates of each wave are
-    evaluated concurrently and merged afterwards (the union is
-    commutative, so completion order does not matter).  Emits
+    corner can skip every point above an already-found element.  Emits
     BoxBoundaryWarning when a minimal element touches the lower
     boundary, since the region may continue outside the box.
     """
@@ -169,32 +165,12 @@ def truncation_region(M, mode, box, threads=1, cache=None):
     r = M.ring.r
     if cache is None:
         cache = {}
-    pts = list(itertools.product(*[range(a, b + 1)
-                                   for a, b in zip(lo, hi)]))
     found = []
-
-    def evaluate(d):
-        return _truncation_verdict(M, d, mode, cache)
-
-    if threads <= 1:
-        for d in pts:
-            if any(deg_leq(g, d) for g in found):
-                continue
-            if evaluate(d):
-                found.append(d)
-    else:
-        idx = 0
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while idx < len(pts):
-                wave = []
-                while idx < len(pts) and len(wave) < threads:
-                    d = pts[idx]
-                    idx += 1
-                    if not any(deg_leq(g, d) for g in found):
-                        wave.append(d)
-                for d, ok in zip(wave, pool.map(evaluate, wave)):
-                    if ok and not any(deg_leq(g, d) for g in found):
-                        found.append(d)
+    for d in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+        if any(deg_leq(g, d) for g in found):
+            continue
+        if _truncation_verdict(M, d, mode, cache):
+            found.append(d)
     for g in found:
         if any(a == b for a, b in zip(g, lo)):
             warnings.warn(
@@ -205,14 +181,14 @@ def truncation_region(M, mode, box, threads=1, cache=None):
     return Region(r, found)
 
 
-def multigraded_regularity(M, box, threads=1, cache=None):
+def multigraded_regularity(M, box, cache=None):
     """Minimal elements of the regularity region inside a box, via the
     quasilinear truncation search; requires no irrelevant torsion."""
     if not module_is_saturated_at_zero(M):
         raise NotSaturatedError(
             "module has irrelevant torsion; regularity via truncations "
             "does not apply")
-    return truncation_region(M, "Q", box, threads=threads, cache=cache)
+    return truncation_region(M, "Q", box, cache=cache)
 
 
 def ci_regularity(degrees):

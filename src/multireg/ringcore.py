@@ -119,6 +119,10 @@ class RingSpec:
             raise ValueError("every factor dimension must be >= 1")
         if not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
+        if p >= 2 ** 62:
+            # matrices hold residues as int64 and sum two of them
+            raise ValueError(f"characteristic {p} is too large: "
+                             "need p < 2^62")
         self.r = len(n)
         self.n = n
         self.p = p

@@ -64,7 +64,7 @@ def _trim_generators(M, d, G, inc):
     generators, degree by degree: a candidate is kept exactly when it
     adds rank over the one-variable shifts of already-available pieces.
     """
-    pieces = GradedPieces(M)
+    pieces = GradedPieces.of(M)
     p = M.ring.p
     by_degree = {}
     for j, tw in enumerate(G.twists):

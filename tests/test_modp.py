@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from multireg import modp
 
@@ -10,40 +11,55 @@ def test_rref_identity():
     assert (R == A).all()
 
 
-def test_rank_and_nullspace():
-    p = 101
-    A = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
-    assert modp.rank(A, p) == 2
-    K = modp.nullspace(A, p)
-    assert K.shape[1] == 1
-    assert (A @ K % p == 0).all()
+def _check_rref(A, p, rank):
+    """R is reduced echelon with the expected rank, and every row of A
+    is the combination of R's rows read off A's pivot columns."""
+    R, piv = modp.rref(A, p)
+    m, n = A.shape
+    assert len(piv) == rank == modp.rank(A, p)
+    assert R.shape == (rank, n) and R.dtype == np.int64
+    assert piv == sorted(piv)
+    Ro = R.astype(object)
+    assert ((Ro >= 0) & (Ro < p)).all()
+    for i, c in enumerate(piv):
+        assert not Ro[i, :c].any()
+        assert (Ro[:, c] == [int(i == k) for k in range(rank)]).all()
+    assert (np.mod(A - A[:, piv] @ Ro, p) == 0).all()
 
 
-def test_solve():
-    p = 13
-    A = np.array([[1, 1], [0, 1]], dtype=np.int64)
-    b = np.array([3, 5], dtype=np.int64)
-    x = modp.solve(A, b, p)
-    assert (A @ x % p == b % p).all()
-    A2 = np.array([[1, 1], [1, 1]], dtype=np.int64)
-    assert modp.solve(A2, np.array([0, 1]), p) is None
-
-
-def test_blocked_rank_matches_rref():
-    rng = np.random.default_rng(3)
-    p = 32003
-    for _ in range(20):
-        m, n = rng.integers(1, 50, 2)
+@pytest.mark.parametrize("p", [11, 32003, 2 ** 61 - 1])
+def test_rref_random_products(p):
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(25):
+        m, n = (int(x) for x in rng.integers(1, 25, 2))
         r = int(rng.integers(0, min(m, n) + 1))
-        A = (rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))) % p
-        assert modp._rank_blocked(A, p, panel=5) == len(modp.rref(A, p)[1])
+        B = rng.integers(0, 2 ** 62, (m, r)).astype(object) % p
+        C = rng.integers(0, 2 ** 62, (r, n)).astype(object) % p
+        # exactly rank r: C carries an r x r identity in random columns
+        cols = rng.choice(n, r, replace=False)
+        C[:, cols] = np.eye(r, dtype=np.int64).astype(object)
+        # and B full column rank: an identity in random rows
+        B[rng.choice(m, r, replace=False)] = \
+            np.eye(r, dtype=np.int64).astype(object)
+        _check_rref(B.dot(C) % p, p, r)
 
 
-def test_blocked_rank_column_gaps():
-    # zero columns inside a panel must not confuse the pivot walk
+def test_rref_degenerate_shapes():
+    for shape in [(0, 4), (3, 0), (0, 0)]:
+        R, piv = modp.rref(np.zeros(shape, dtype=np.int64), 5)
+        assert piv == [] and R.shape == (0, shape[1])
+        assert modp.rank(np.zeros(shape, dtype=np.int64), 5) == 0
+    _check_rref(np.zeros((3, 4), dtype=np.int64), 5, 0)
+    # entries divisible by p are zero
+    _check_rref(np.array([[5, 10], [-15, 0]], dtype=np.int64), 5, 0)
+
+
+def test_rref_zero_column_gaps():
     p = 11
     A = np.array([[0, 1, 0, 0, 2],
                   [0, 2, 0, 0, 4],
                   [0, 0, 0, 0, 1]], dtype=np.int64)
-    assert modp._rank_blocked(A, p, panel=2) == 2
-    assert modp.rank(A, p) == 2
+    R, piv = modp.rref(A, p)
+    assert piv == [1, 4]
+    assert R.tolist() == [[0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
+    _check_rref(A, p, 2)

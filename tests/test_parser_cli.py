@@ -191,6 +191,20 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_prime_range(tmp_path, capsys):
+    # residues live in int64 matrices: 2^62 - 57 is the largest prime
+    # accepted, and larger primes are parse errors, not overflows
+    job = tmp_path / "ci.mr"
+    job.write_text("ring p=32003 n=[1,1]\nideal x0*y1 - x1*y0\n")
+    code, _, _ = _run(["betti", str(job), "--prime",
+                       "4611686018427387847"], capsys)
+    assert code == 0
+    for p in ("4611686018427388039", "18446744073709551557"):
+        code, out, err = _run(["betti", str(job), "--prime", p], capsys)
+        assert code == 2
+        assert "line 1, col" in out + err
+
+
 def test_cli_error_json(tmp_path, capsys):
     bad = tmp_path / "bad.mr"
     bad.write_text("ring p=32003 n=[0]\nideal x0\n")

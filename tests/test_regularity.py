@@ -115,15 +115,6 @@ def test_truncation_region_golden(hyperelliptic_module):
     assert region_subset(L, Q)
 
 
-def test_truncation_region_threads_match(not_linear_module):
-    box = ((0, 0), (3, 3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoxBoundaryWarning)
-        seq = truncation_region(not_linear_module, "Q", box)
-        par = truncation_region(not_linear_module, "Q", box, threads=3)
-    assert seq == par
-
-
 def test_boundary_warning(P11):
     S = Presentation.free(P11)
     with pytest.warns(BoxBoundaryWarning):

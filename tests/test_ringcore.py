@@ -23,6 +23,9 @@ def test_ring_validation():
         RingSpec((0, 1))
     with pytest.raises(ValueError):
         RingSpec((1, 1), p=32004)
+    RingSpec((1, 1), p=2 ** 62 - 57)
+    with pytest.raises(ValueError):
+        RingSpec((1, 1), p=2 ** 62 + 135)
     R = RingSpec((1, 2))
     assert R.nvars == 5
     assert R.var_factor == (0, 0, 1, 1, 1)
@@ -152,6 +155,17 @@ def test_hilbert_function_sb(P12):
 
 def test_hilbert_function_not_linear(not_linear_module):
     assert hilbert_function(not_linear_module, (1, 0)) == 2
+
+
+@pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1])
+def test_hilbert_function_large_prime(p):
+    # complete intersection of bidegrees (1,1), (1,2) on P1 x P2: a
+    # curve with Hilbert function 2a + 3b in these degrees, so 5a at (a, a)
+    R = RingSpec((1, 2), p=p)
+    M = Presentation.quotient_by_ideal(R, [
+        pp(R, "3*x0*y0 + 5*x1*y1 + 7*x0*y2"),
+        pp(R, "11*x0*y0^2 + 13*x1*y1*y2 + 17*x1*y2^2 + 19*x0*y1^2")])
+    assert [hilbert_function(M, (a, a)) for a in (4, 6, 8)] == [20, 30, 40]
 
 
 def test_free_basis_order_deterministic(P12):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 from multireg import (
@@ -11,6 +12,8 @@ from multireg import (
     truncate_free,
     truncate_module,
 )
+
+from multireg.pieces import _SHARED, GradedPieces
 
 from .conftest import HYPERELLIPTIC_TRUNC_21_BETTI, pp
 
@@ -68,6 +71,31 @@ def test_truncation_trim_agrees_with_untrimmed(not_linear_module):
     b = truncate_module(not_linear_module, (1, 0),
                         minimalize_presentation=True)
     assert betti(free_resolution(a)).data == betti(free_resolution(b)).data
+
+
+def test_trimming_shares_graded_pieces(P11):
+    """Trimming at several degrees reuses one GradedPieces of M (one
+    Groebner basis per sweep), and the cache lets go of it with M."""
+    gc.collect()
+    before = len(_SHARED)
+    M = Presentation.quotient_by_ideal(P11, [pp(P11, "x0*y1 - x1*y0")])
+    for d in [(1, 1), (2, 1), (1, 2)]:
+        truncate_module(M, d, minimalize_presentation=True)
+    assert len(_SHARED) == before + 1
+    del M
+    gc.collect()
+    assert len(_SHARED) == before
+
+
+def test_graded_pieces_cache_frees_entries(P11):
+    gc.collect()
+    before = len(_SHARED)
+    M = Presentation.quotient_by_ideal(P11, [pp(P11, "x0^2*y0")])
+    assert GradedPieces.of(M) is GradedPieces.of(M)
+    assert len(_SHARED) == before + 1
+    del M
+    gc.collect()
+    assert len(_SHARED) == before
 
 
 def test_truncate_hyperelliptic_golden(hyperelliptic_module):
