@@ -25,14 +25,12 @@ from .errors import (
 )
 from .groebner import (
     GroebnerBasis,
-    ModuleOrder,
     buchberger,
     colon,
     colon_by_ideal,
     ideal_matrix,
     intersect_submodules,
     irrelevant_ideal,
-    minimal_generator_columns,
     normal_form,
     saturate,
     submodules_equal,
@@ -45,8 +43,6 @@ from .regions import (
     betti_bound_Q,
     region_L,
     region_Q,
-    region_contains,
-    region_equals,
     region_intersect,
     region_subset,
     region_union,

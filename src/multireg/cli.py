@@ -13,9 +13,7 @@ import json
 import sys
 import warnings
 
-from .cohomology import (
-    local_cohomology_box,
-)
+from .cohomology import local_cohomology_box
 from .errors import MultiregError, ParseError
 from .groebner import ideal_matrix, irrelevant_ideal, saturate
 from .parser import parse_input
@@ -37,18 +35,26 @@ from .resolution import betti, free_resolution
 from .truncation import truncate_module
 
 
-def _parse_degree(text, what="degree"):
+def _parse_degree(text, rank=None, what="degree"):
     try:
-        return tuple(int(x) for x in text.split(","))
+        d = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError(f"bad {what} {text!r}; expected d1,d2,...") from None
+    if rank is not None and len(d) != rank:
+        raise ParseError(f"{what} {text!r} needs {rank} coordinates, "
+                         f"got {len(d)}")
+    return d
 
 
-def _parse_box(text):
+def _parse_box(text, rank):
     if ":" not in text:
-        raise ParseError(f"bad box {text!r}; expected a,b:c,d")
-    lo, hi = text.split(":", 1)
-    return _parse_degree(lo, "box corner"), _parse_degree(hi, "box corner")
+        raise ParseError(f"bad --box {text!r}; expected a,b:c,d")
+    lo, hi = (_parse_degree(c, rank, "--box corner")
+              for c in text.split(":", 1))
+    if any(a > b for a, b in zip(lo, hi)):
+        raise ParseError(f"--box {text!r}: the lower corner must be <= "
+                         "the upper corner")
+    return lo, hi
 
 
 def _load_job(args):
@@ -97,8 +103,9 @@ def _module_of(args):
     job = _load_job(args)
     M = job.module()
     if getattr(args, "truncate_at", None):
-        M = truncate_module(M, _parse_degree(args.truncate_at),
-                            minimalize_presentation=True)
+        M = truncate_module(
+            M, _parse_degree(args.truncate_at, job.ring.r, "--truncate-at"),
+            minimalize_presentation=True)
     return job, M
 
 
@@ -111,8 +118,8 @@ def cmd_betti(args):
 
 def cmd_truncate(args):
     job = _load_job(args)
-    M = truncate_module(job.module(), _parse_degree(args.truncate_at),
-                        minimalize_presentation=True)
+    d = _parse_degree(args.truncate_at, job.ring.r, "--truncate-at")
+    M = truncate_module(job.module(), d, minimalize_presentation=True)
     def render():
         lines = [f"generators: {[list(t) for t in M.F0.twists]}",
                  f"relations: {M.relations.source.rank}"]
@@ -159,7 +166,7 @@ def _default_box(M):
 
 def cmd_regularity(args):
     job, M = _module_of(args)
-    box = _parse_box(args.box) if args.box else _default_box(M)
+    box = _parse_box(args.box, job.ring.r) if args.box else _default_box(M)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always", BoxBoundaryWarning)
         region = multigraded_regularity(M, box)
@@ -169,7 +176,7 @@ def cmd_regularity(args):
 
 def cmd_linear_truncations(args):
     job, M = _module_of(args)
-    box = _parse_box(args.box) if args.box else _default_box(M)
+    box = _parse_box(args.box, job.ring.r) if args.box else _default_box(M)
     mode = args.mode or "L"
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always", BoxBoundaryWarning)
@@ -200,7 +207,12 @@ def cmd_betti_bounds(args):
 
 def cmd_ci_regularity(args):
     if args.degrees:
-        degrees = [_parse_degree(d) for d in args.degrees]
+        degrees = [_parse_degree(d, what="--degrees entry")
+                   for d in args.degrees]
+        for d in degrees:
+            if len(d) != len(degrees[0]) or min(d) <= 0:
+                raise ParseError(f"--degrees entry {list(d)}: expected "
+                                 "strictly positive degrees of one rank")
         region = ci_regularity(degrees)
         _render_region(args, region)
         return 0
@@ -218,6 +230,8 @@ def cmd_ci_regularity(args):
 
 
 def cmd_region(args):
+    if args.level < 0:
+        raise ParseError(f"level {args.level} must be >= 0")
     d = _parse_degree(args.degree)
     fn = region_L if args.kind == "L" else region_Q
     region = fn(args.level, d)
@@ -226,9 +240,12 @@ def cmd_region(args):
 
 
 def cmd_cohomology(args):
+    for flag, t in (("--t-start", args.t_start), ("--t-cap", args.t_cap)):
+        if t is not None and t < 1:
+            raise ParseError(f"{flag} {t} must be >= 1")
     job, M = _module_of(args)
     if args.box:
-        box = _parse_box(args.box)
+        box = _parse_box(args.box, job.ring.r)
     else:
         r = M.ring.r
         box = (tuple(-n - 1 for n in M.ring.n), (2,) * r)

@@ -124,14 +124,13 @@ class CohomologyTable:
     parameter recorded; entries are Ext approximations accepted after
     two consecutive steps agreed, hence 'heuristically stabilized'."""
 
-    __slots__ = ("box", "data", "t_used", "max_index", "label")
+    __slots__ = ("box", "data", "t_used", "max_index")
 
-    def __init__(self, box, data, t_used, max_index, label=""):
+    def __init__(self, box, data, t_used, max_index):
         self.box = (tuple(box[0]), tuple(box[1]))
         self.data = dict(data)
         self.t_used = t_used
         self.max_index = max_index
-        self.label = label
 
     def dim(self, i, pdeg):
         pdeg = tuple(pdeg)
@@ -219,7 +218,7 @@ def _ext_dims_at(pieces, complex_, pdeg, max_index):
     return out
 
 
-def local_cohomology_box(M, box, t_start=None, t_cap=None, pieces=None):
+def local_cohomology_box(M, box, t_start=None, t_cap=None):
     """Local cohomology dimensions of a presented module over a finite
     degree box, via the Ext direct limit.
 
@@ -240,8 +239,7 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None, pieces=None):
     if t_cap is None:
         t_cap = t_start + 6
     max_index = sum(ring.n) + 1
-    if pieces is None:
-        pieces = GradedPieces.of(M)
+    pieces = GradedPieces.of(M)
     points = _box_points((lo, hi))
 
     def table_at(t):
@@ -259,8 +257,7 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None, pieces=None):
     while t < t_cap:
         nxt = table_at(t + 1)
         if nxt == prev:
-            return CohomologyTable((lo, hi), prev, t, max_index,
-                                   label=repr(M))
+            return CohomologyTable((lo, hi), prev, t, max_index)
         prev = nxt
         t += 1
     raise StabilizationNotReached(
@@ -292,7 +289,7 @@ def required_corners(ring, d):
 
 
 def check_regularity_by_definition(M, d, box=None, table=None,
-                                   t_start=None, t_cap=None, pieces=None):
+                                   t_start=None, t_cap=None):
     """The definition-side regularity test: vanishing of the bottom
     local cohomology on the shifted orthants and of each higher group
     on its staircase region, checked over a finite box.
@@ -322,7 +319,7 @@ def check_regularity_by_definition(M, d, box=None, table=None,
             missing=missing)
     if table is None:
         table = local_cohomology_box(M, (lo, hi), t_start=t_start,
-                                     t_cap=t_cap, pieces=pieces)
+                                     t_cap=t_cap)
     points = _box_points((lo, hi))
     # bottom group: vanishing on the unit-shifted orthants
     for j in range(ring.r):

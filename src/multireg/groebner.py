@@ -53,10 +53,6 @@ class ModuleOrder:
         self.schreyer_leads = schreyer_leads
         self.parent = parent
 
-    @property
-    def is_standard(self):
-        return self.schreyer_leads is None
-
     def key(self, comp, mono):
         if self.schreyer_leads is None:
             return term_key(comp, mono)
@@ -81,13 +77,11 @@ class GroebnerBasis:
     equality of bases is equality of submodules.
     """
 
-    __slots__ = ("ambient", "elements", "order", "reduced", "_leads")
+    __slots__ = ("ambient", "elements", "_leads")
 
-    def __init__(self, ambient, elements, order=STANDARD_ORDER, reduced=True):
+    def __init__(self, ambient, elements):
         self.ambient = ambient
         self.elements = tuple(elements)
-        self.order = order
-        self.reduced = reduced
         leads = {}
         for i, g in enumerate(self.elements):
             (comp, mono), _ = g.lead()
@@ -119,10 +113,8 @@ class GroebnerBasis:
 
 
 def _check_homogeneous_columns(columns, spec):
-    degs = []
     for v in columns:
-        degs.append(v.degree(spec))
-    return degs
+        v.degree(spec)
 
 
 def _find_divisor(leads, comp, mono):
@@ -169,131 +161,83 @@ class _Engine:
 
     With ``tracked`` every working element carries its expression in
     the original generators, and reductions to zero are recorded as
-    syzygies.  ``keep_rank`` restricts tracking to the generators below
-    that index: representation arithmetic is linear, so the truncated
-    reps are exactly the projections of the full ones, which is all
-    the kernel-projection operations need.
+    syzygies.  Untracked runs skip pairs by the product criterion,
+    whose skipped syzygies nobody asks for.
     """
 
-    def __init__(self, target, tracked=False, criteria=True,
-                 gebauer_moller=False, keep_rank=None):
+    def __init__(self, target, tracked=False):
         self.target = target
         self.ring = target.ring
         self.p = target.ring.p
         self.tracked = tracked
-        self.keep_rank = keep_rank
-        self.criteria = criteria and not tracked
-        self.gebauer_moller = gebauer_moller and not tracked
         self.vecs = []
         self.reps = [] if tracked else None
-        self.degs = []
         self.solo = []
         self.leads = {}
         self.pairs = []
-        self.treated = set()
         self.syzygies = []
 
-    def _push_pairs(self, s):
-        key0 = self.vecs[s][0][0]
-        comp, mono_s = -key0[2], key0[1]
-        for lm, i in self.leads.get(comp, ()):
-            if i == s:
-                continue
-            lcm = mono_lcm(lm, mono_s)
-            d = deg_add(self.ring.monomial_degree(lcm),
-                        self.target.twists[comp])
-            heapq.heappush(self.pairs, (deg_total(d), d, i, s, lcm))
-
-    def add_generator(self, v, rep=None):
-        """Reduce an input element and install it (or record the
-        syzygy its vanishing represents)."""
+    def _install(self, terms, rep):
+        """Reduce ``terms`` and install the remainder as a new monic
+        element, pushing its pairs with every earlier element of the
+        same lead component.  In a tracked run ``rep`` is the element's
+        expression in the generators, and a reduction to zero records
+        that expression as a syzygy."""
         p = self.p
-        terms, delta = _reduce_full(v.terms, self.vecs, self.leads, p,
+        terms, delta = _reduce_full(terms, self.vecs, self.leads, p,
                                     self.reps)
         if self.tracked:
-            rep_terms = vec_add(rep.terms, vec_scale(delta, p - 1, p), p)
+            rep = vec_add(rep, vec_scale(delta, p - 1, p), p)
         if not terms:
-            if self.tracked and rep_terms:
-                self.syzygies.append(Vector(rep_terms, _canonical=True))
+            if self.tracked and rep:
+                self.syzygies.append(Vector(rep, _canonical=True))
             return
         inv = pow(terms[0][1], -1, p)
         terms = vec_scale(terms, inv, p)
         idx = len(self.vecs)
         self.vecs.append(terms)
         if self.tracked:
-            self.reps.append(vec_scale(rep_terms, inv, p))
+            self.reps.append(vec_scale(rep, inv, p))
         key0 = terms[0][0]
         comp, mono = -key0[2], key0[1]
-        self.degs.append(deg_add(self.ring.monomial_degree(mono),
-                                 self.target.twists[comp]))
-        comps = {-k[2] for k, _ in terms}
-        self.solo.append(comp if comps == {comp} else None)
-        self._push_pairs(idx)
+        self.solo.append(comp if all(-k[2] == comp for k, _ in terms)
+                         else None)
+        # each pair is pushed once, when its later element is installed
+        for lm, i in self.leads.get(comp, ()):
+            lcm = mono_lcm(lm, mono)
+            d = deg_add(self.ring.monomial_degree(lcm),
+                        self.target.twists[comp])
+            heapq.heappush(self.pairs, (deg_total(d), d, i, idx, lcm))
         self.leads.setdefault(comp, []).append((mono, idx))
 
-    def _chain_skip(self, i, j, lcm):
-        if not self.gebauer_moller:
-            return False
-        comp = -self.vecs[i][0][0][2]
-        for lm, k in self.leads.get(comp, ()):
-            if k in (i, j) or not mono_divides(lm, lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in self.treated and b in self.treated:
-                return True
-        return False
-
-    def run(self):
+    def run(self, columns, reps=None):
+        """Install the generators (with their expressions ``reps`` when
+        tracked), then treat S-pairs by increasing degree until none
+        is left."""
+        for k, v in enumerate(columns):
+            self._install(v.terms, reps[k] if self.tracked else None)
         p = self.p
         while self.pairs:
             _, _, i, j, lcm = heapq.heappop(self.pairs)
-            key = (min(i, j), max(i, j))
-            if key in self.treated:
-                continue
-            self.treated.add(key)
             ti, tj = self.vecs[i], self.vecs[j]
-            ki, kj = ti[0][0], tj[0][0]
-            mi, mj = ki[1], kj[1]
-            lcm = mono_lcm(mi, mj)
+            mi, mj = ti[0][0][1], tj[0][0][1]
             # the product criterion only holds for elements that act
             # like ring elements: both supported in one shared component
-            if (self.criteria and mono_coprime(mi, mj)
+            if (not self.tracked and mono_coprime(mi, mj)
                     and self.solo[i] is not None
                     and self.solo[i] == self.solo[j]):
                 continue
-            if self._chain_skip(i, j, lcm):
-                continue
-            s = vec_add(vec_mono_mul(ti, mono_div(lcm, mi), 1, p),
-                        vec_mono_mul(tj, mono_div(lcm, mj), p - 1, p), p)
+            qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
+            s = vec_add(vec_mono_mul(ti, qi, 1, p),
+                        vec_mono_mul(tj, qj, p - 1, p), p)
+            rep = None
             if self.tracked:
-                rep = vec_add(
-                    vec_mono_mul(self.reps[i], mono_div(lcm, mi), 1, p),
-                    vec_mono_mul(self.reps[j], mono_div(lcm, mj), p - 1, p), p)
-            terms, delta = _reduce_full(s, self.vecs, self.leads, p, self.reps)
-            if self.tracked:
-                rep = vec_add(rep, vec_scale(delta, p - 1, p), p)
-            if not terms:
-                if self.tracked and rep:
-                    self.syzygies.append(Vector(rep, _canonical=True))
-                continue
-            inv = pow(terms[0][1], -1, p)
-            terms = vec_scale(terms, inv, p)
-            idx = len(self.vecs)
-            self.vecs.append(terms)
-            if self.tracked:
-                self.reps.append(vec_scale(rep, inv, p))
-            key0 = terms[0][0]
-            comp, mono = -key0[2], key0[1]
-            self.degs.append(deg_add(self.ring.monomial_degree(mono),
-                                     self.target.twists[comp]))
-            comps = {-k[2] for k, _ in terms}
-            self.solo.append(comp if comps == {comp} else None)
-            self._push_pairs(idx)
-            self.leads.setdefault(comp, []).append((mono, idx))
+                rep = vec_add(vec_mono_mul(self.reps[i], qi, 1, p),
+                              vec_mono_mul(self.reps[j], qj, p - 1, p), p)
+            self._install(s, rep)
 
 
-def _interreduce(vecs, target, p):
+def _interreduce(vecs, p):
     """Turn a Groebner basis into the reduced one: minimal lead set,
     fully reduced tails, monic, sorted by increasing lead."""
     order = sorted(range(len(vecs)),
@@ -322,7 +266,7 @@ def _interreduce(vecs, target, p):
     return [Vector(t, _canonical=True) for t in final]
 
 
-def buchberger(gens, ambient=None, order=STANDARD_ORDER, gebauer_moller=False):
+def buchberger(gens, ambient=None):
     """Reduced Groebner basis of the submodule generated by ``gens``.
 
     ``gens`` may be a MatrixOverS (columns generate) or a list of
@@ -336,20 +280,13 @@ def buchberger(gens, ambient=None, order=STANDARD_ORDER, gebauer_moller=False):
         columns = tuple(gens)
         if ambient is None:
             raise ValueError("ambient free module required")
-    if not order.is_standard:
-        raise NotImplementedError("the engine reduces in the standard order")
     try:
         _check_homogeneous_columns(columns, ambient)
     except InhomogeneousError as exc:
         raise InhomogeneousError(f"buchberger: {exc}") from exc
-    eng = _Engine(ambient, tracked=False, criteria=True,
-                  gebauer_moller=gebauer_moller)
-    for v in columns:
-        if v:
-            eng.add_generator(v)
-    eng.run()
-    reduced = _interreduce(eng.vecs, ambient, ambient.ring.p)
-    return GroebnerBasis(ambient, reduced, order=order, reduced=True)
+    eng = _Engine(ambient)
+    eng.run(columns)
+    return GroebnerBasis(ambient, _interreduce(eng.vecs, ambient.ring.p))
 
 
 def normal_form(f, G):
@@ -366,22 +303,18 @@ def normal_form(f, G):
     return Vector(rem, _canonical=True)
 
 
-def _tracked_kernel(M, keep_rank=None):
-    """Syzygy vectors of the columns of M, optionally projected to the
-    first ``keep_rank`` source components (empty projections dropped)."""
+def kernel_projection(M, rank):
+    """Generators of the image of ker(M) under projection to the first
+    ``rank`` source components (empty projections dropped).
+
+    Only those generators are tracked: representation arithmetic is
+    linear, so the tracked expressions are exactly the projections of
+    the full ones.
+    """
     _check_homogeneous_columns(M.columns, M.target)
-    eng = _Engine(M.target, tracked=True, keep_rank=keep_rank)
-    ring = M.ring
-    for j, v in enumerate(M.columns):
-        if keep_rank is not None and j >= keep_rank:
-            rep = Vector.zero()
-        else:
-            rep = Vector.unit(ring, j)
-        if v:
-            eng.add_generator(v, rep)
-        elif rep:
-            eng.syzygies.append(rep)
-    eng.run()
+    eng = _Engine(M.target, tracked=True)
+    eng.run(M.columns, [(Vector.unit(M.ring, j).terms if j < rank else ())
+                        for j in range(len(M.columns))])
     return [s for s in eng.syzygies if s]
 
 
@@ -393,20 +326,12 @@ def syzygies(M):
     new free module records one twist per syzygy (its degree).
     """
     src = M.source
-    ring = M.ring
-    syz = _tracked_kernel(M)
+    syz = kernel_projection(M, src.rank)
     syz.sort(key=lambda s: (deg_total(s.degree(src)), s.degree(src),
                             s.terms[0][0]))
     twists = [s.degree(src) for s in syz]
-    out_src = FreeModuleSpec(ring, twists)
+    out_src = FreeModuleSpec(M.ring, twists)
     return MatrixOverS(out_src, src, syz, check=False)
-
-
-def kernel_projection(M, block_twists):
-    """Generators of the image of ker(M) under projection to the first
-    block of source components (a free module with ``block_twists``)."""
-    rank = len(block_twists)
-    return _tracked_kernel(M, keep_rank=rank)
 
 
 class _Rev:
@@ -421,7 +346,7 @@ class _Rev:
         return self.key > other.key
 
 
-def _reduce_to_zero_in_order(start, tails, lead_lookup, order, ring, p):
+def _reduce_to_zero_in_order(start, tails, lead_lookup, order, p):
     """Reduce an element to zero against monic basis elements in an
     arbitrary module order, returning the quotients used.
 
@@ -528,7 +453,7 @@ def schreyer_frame(relations, cap):
             start += [(c2, mono_mul(m2, mv_quot), (p - 1) * coeff2 % p)
                       for c2, m2, coeff2 in tails[v]]
             quotients = _reduce_to_zero_in_order(start, tails, lead_lookup,
-                                                 order, ring, p)
+                                                 order, p)
             tail = [(v, mv_quot, p - 1)]
             for idx, m, c in quotients:
                 tail.append((idx, m, (p - c) % p))
@@ -563,7 +488,7 @@ def colon(N, f):
     cols.extend(N.columns)
     twists.extend(N.source.twists)
     big = MatrixOverS(FreeModuleSpec(ring, twists), F, cols, check=False)
-    projected = kernel_projection(big, twists[:F.rank])
+    projected = kernel_projection(big, F.rank)
     return _span_matrix(projected, F)
 
 
@@ -605,7 +530,7 @@ def colon_by_ideal(N, gens):
             cols.append(Vector(shifted))
             twists.append(w.degree(F))
     big = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
-    projected = kernel_projection(big, twists[:rank])
+    projected = kernel_projection(big, rank)
     return _span_matrix(projected, F)
 
 
@@ -653,7 +578,7 @@ def intersect_submodules(N1, N2):
         cols.append(Vector(shifted))
         twists.append(v.degree(F))
     big = MatrixOverS(FreeModuleSpec(ring, twists), double, cols, check=False)
-    projected = kernel_projection(big, twists[:rank])
+    projected = kernel_projection(big, rank)
     return _span_matrix(projected, F)
 
 
@@ -693,39 +618,6 @@ def saturate(N, J):
         if cur.columns == nxt.columns:
             return cur
         cur = nxt
-
-
-def minimal_generator_columns(M):
-    """Cut the columns of M down to a minimal generating set of the
-    submodule they span.
-
-    Degree by degree (ascending), a column of that exact degree is
-    kept only if it adds rank over the span of all monomial multiples
-    of the other columns in that degree; this is the graded Nakayama
-    criterion, and needs nothing but ranks of graded blocks.
-    """
-    from . import modp
-    ring = M.ring
-    by_degree = {}
-    for l, tw in enumerate(M.source.twists):
-        if M.columns[l]:
-            by_degree.setdefault(tw, []).append(l)
-    keep = []
-    for e in sorted(by_degree, key=lambda t: (deg_total(t), t)):
-        block, rows, labels = M.graded_block(e)
-        if not rows:
-            continue
-        shifted = [j for j, (l, m) in enumerate(labels) if any(m)]
-        here = {l: j for j, (l, m) in enumerate(labels) if not any(m)}
-        cand = [here[l] for l in by_degree[e]]
-        cols = block[:, shifted + cand]
-        _, pivots = modp.rref(cols, ring.p)
-        nshift = len(shifted)
-        keep.extend(by_degree[e][c - nshift] for c in pivots if c >= nshift)
-    keep.sort()
-    src = FreeModuleSpec(ring, [M.source.twists[l] for l in keep])
-    return MatrixOverS(src, M.target, [M.columns[l] for l in keep],
-                       check=False)
 
 
 def quotient_ring_dimension(ring, gens):

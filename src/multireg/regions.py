@@ -16,7 +16,7 @@ Intersections of unions of orthants are again unions of orthants
 (componentwise maxima of generators), so the whole calculus is exact.
 """
 
-from .ringcore import deg_leq, deg_max, deg_sub, deg_total
+from .ringcore import _compositions, deg_leq, deg_max, deg_sub, deg_total
 
 
 def _minimalize(points):
@@ -46,10 +46,6 @@ class Region:
     @classmethod
     def empty(cls, rank):
         return cls(rank, ())
-
-    @classmethod
-    def full_orthant(cls, point):
-        return cls(len(point), (tuple(point),))
 
     def is_empty(self):
         return not self.minimal_generators
@@ -82,7 +78,7 @@ class Region:
         }
 
 
-def region_L(i, d, rank=None):
+def region_L(i, d):
     """Twists allowed at homological step i of a linear resolution
     with socle degree d: minimal elements are d - lam for |lam| = i.
 
@@ -91,14 +87,13 @@ def region_L(i, d, rank=None):
     if i < 0:
         raise ValueError("level must be nonnegative")
     d = tuple(d)
-    r = len(d) if rank is None else rank
     gens = []
-    for lam in _compositions(i, r):
+    for lam in _compositions(i, len(d)):
         gens.append(tuple(dj - lj for dj, lj in zip(d, lam)))
-    return Region(r, gens)
+    return Region(len(d), gens)
 
 
-def region_Q(i, d, rank=None):
+def region_Q(i, d):
     """The quasilinear counterpart: the orthant at d for i = 0, and
     region_L(i - 1, d - 1) above."""
     if i < 0:
@@ -106,16 +101,7 @@ def region_Q(i, d, rank=None):
     d = tuple(d)
     if i == 0:
         return Region(len(d), (d,))
-    return region_L(i - 1, tuple(x - 1 for x in d), rank)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    return region_L(i - 1, tuple(x - 1 for x in d))
 
 
 def positive_part_weight(v):
@@ -142,10 +128,6 @@ def region_union(A, B):
     return Region(A.rank, A.minimal_generators + B.minimal_generators)
 
 
-def region_contains(A, p):
-    return A.contains(p)
-
-
 def region_subset(A, B):
     """A is a subset of B: every minimal generator of A lies in B."""
     if A.rank != B.rank:
@@ -153,17 +135,12 @@ def region_subset(A, B):
     return all(B.contains(g) for g in A.minimal_generators)
 
 
-def region_equals(A, B):
-    return A == B
-
-
 def _betti_bound(B, region_of_level):
     if not B.data:
         raise ValueError("empty Betti table")
-    rank = B.rank
     out = None
     for (i, b) in B.data:
-        reg = region_of_level(i, b, rank)
+        reg = region_of_level(i, b)
         out = reg if out is None else region_intersect(out, reg)
     return out
 

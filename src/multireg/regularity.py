@@ -160,9 +160,11 @@ def truncation_region(M, mode, box, cache=None):
     if mode not in ("L", "Q"):
         raise ValueError("mode must be 'L' or 'Q'")
     lo, hi = tuple(box[0]), tuple(box[1])
+    r = M.ring.r
+    if len(lo) != r or len(hi) != r:
+        raise ValueError(f"box {lo}..{hi} does not have rank {r}")
     if not deg_leq(lo, hi):
         raise ValueError("box lower corner must be <= upper corner")
-    r = M.ring.r
     if cache is None:
         cache = {}
     found = []

@@ -49,9 +49,6 @@ class FreeComplex:
     def length(self):
         return len(self.terms) - 1
 
-    def differential(self, i):
-        return self.differentials[i]
-
     def __repr__(self):
         ranks = " <- ".join(str(t.rank) for t in self.terms)
         return f"FreeComplex({ranks})"
@@ -95,15 +92,6 @@ class BettiTable:
 
     def max_index(self):
         return max((i for i, _ in self.data), default=-1)
-
-    def total_rank(self, i):
-        return sum(m for (j, _), m in self.data.items() if j == i)
-
-    def indexed(self):
-        out = {}
-        for (i, b), m in sorted(self.data.items()):
-            out.setdefault(i, {})[b] = m
-        return out
 
     def pretty(self):
         """Text grid: one row per twist, one column per index."""
@@ -294,10 +282,10 @@ def minimalize(C):
     return FreeComplex(specs, mats, check=False)
 
 
-def free_resolution(M, length_cap=None):
-    """Minimal free resolution of coker(M.relations), up to homological
-    index ``length_cap`` (default: the number of variables, which
-    bounds every resolution length over S).
+def free_resolution(M):
+    """Minimal free resolution of coker(M.relations).  The tower stops
+    at homological index the number of variables, which bounds every
+    resolution length over S.
 
     The tower of iterated syzygies is computed first and minimalized
     second.  Each tower step replaces the incoming kernel generators
@@ -307,9 +295,7 @@ def free_resolution(M, length_cap=None):
     introduces along with everything else.
     """
     from .groebner import schreyer_frame
-    ring = M.ring
-    cap = ring.nvars if length_cap is None else length_cap
-    diffs = schreyer_frame(M.relations, cap)
+    diffs = schreyer_frame(M.relations, M.ring.nvars)
     terms = [M.F0] + [d.source for d in diffs]
     raw = FreeComplex(terms, diffs, check=False)
     return minimalize(raw)

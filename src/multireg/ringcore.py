@@ -92,10 +92,6 @@ def zero_degree(r):
     return (0,) * r
 
 
-def one_degree(r):
-    return (1,) * r
-
-
 def unit_degree(r, i):
     return tuple(1 if j == i else 0 for j in range(r))
 
@@ -190,10 +186,6 @@ class RingSpec:
         """Multidegree of an exponent tuple: per-block exponent sums."""
         bs = self._block_start
         return tuple(sum(m[bs[i]:bs[i + 1]]) for i in range(self.r))
-
-    def total_dimension(self):
-        """Krull dimension of the ring (= number of variables)."""
-        return self.nvars
 
     def irrelevant_generators(self):
         """The products (one variable per block) generating the
@@ -365,16 +357,6 @@ class Poly:
             return Poly.zero(self.ring)
         p = self.ring.p
         return Poly(self.ring, tuple((m, (k * c) % p) for m, k in self.terms),
-                    _canonical=True)
-
-    def mono_times(self, m, c=1):
-        """Multiply by the monomial m and scalar c; order is preserved."""
-        c %= self.ring.p
-        if not c:
-            return Poly.zero(self.ring)
-        p = self.ring.p
-        return Poly(self.ring,
-                    tuple((mono_mul(t, m), (k * c) % p) for t, k in self.terms),
                     _canonical=True)
 
     def __mul__(self, other):
@@ -672,10 +654,6 @@ class MatrixOverS:
             col = [row[l] if row[l] is not None else None for row in entries]
             cols.append(Vector.from_components(col))
         return cls(source, target, cols, check=check)
-
-    @classmethod
-    def zero_map(cls, source, target):
-        return cls(source, target, [Vector.zero()] * source.rank, check=False)
 
     @classmethod
     def identity(cls, spec):

@@ -53,7 +53,7 @@ def _preimage_relations(inc, relations):
     cols = list(inc.columns) + list(relations.columns)
     twists = list(inc.source.twists) + list(relations.source.twists)
     big = MatrixOverS(FreeModuleSpec(ring, twists), F, cols, check=False)
-    kept = kernel_projection(big, inc.source.twists)
+    kept = kernel_projection(big, inc.source.rank)
     kept_twists = [v.degree(inc.source) for v in kept]
     src = FreeModuleSpec(ring, kept_twists)
     return MatrixOverS(src, inc.source, kept, check=False)
@@ -95,6 +95,9 @@ def truncate_module(M, d, minimalize_presentation=False):
     keeps later resolutions small.
     """
     d = tuple(d)
+    if len(d) != M.ring.r:
+        raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
+                         f"rank {M.ring.r}")
     G, inc = truncate_free(M.F0, d)
     if minimalize_presentation and G.rank:
         G, inc = _trim_generators(M, d, G, inc)

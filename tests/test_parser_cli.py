@@ -205,6 +205,33 @@ def test_cli_prime_range(tmp_path, capsys):
         assert "line 1, col" in out + err
 
 
+BAD_DEGREE_ARGUMENTS = [
+    (["betti", "--truncate-at", "1,0,0"], "--truncate-at"),
+    (["betti", "--truncate-at", "1,2,3"], "--truncate-at"),
+    (["betti", "--truncate-at", "1"], "--truncate-at"),
+    (["truncate", "--truncate-at", "1,0,0"], "--truncate-at"),
+    (["regularity", "--box", "0,0,0:3,3,3"], "--box"),
+    (["regularity", "--box", "3,3:0,0"], "--box"),
+    (["linear-truncations", "--box", "0:3"], "--box"),
+    (["cohomology", "--t-start", "0"], "--t-start"),
+    (["region", "L", "-1", "1,1"], "level"),
+    (["ci-regularity", "--degrees", "1,1", "2"], "--degrees"),
+    (["ci-regularity", "--degrees", "1,0"], "--degrees"),
+]
+
+
+@pytest.mark.parametrize("argv, names", BAD_DEGREE_ARGUMENTS,
+                         ids=[" ".join(a) for a, _ in BAD_DEGREE_ARGUMENTS])
+def test_cli_rejects_degree_arguments(argv, names, capsys):
+    # a degree or box of the wrong rank, a reversed box, a negative
+    # level or a power below 1 is a parse error naming the argument
+    if argv[0] not in ("region", "ci-regularity"):
+        argv = argv[:1] + [str(DATA / "not_linear.mr")] + argv[1:]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert names in err
+
+
 def test_cli_error_json(tmp_path, capsys):
     bad = tmp_path / "bad.mr"
     bad.write_text("ring p=32003 n=[0]\nideal x0\n")

@@ -11,8 +11,6 @@ from multireg import (
     free_resolution,
     region_L,
     region_Q,
-    region_contains,
-    region_equals,
     region_intersect,
     region_subset,
     region_union,
@@ -74,8 +72,8 @@ def test_union_staircase():
 def test_set_semantics():
     A = Region(2, [(0, 1), (1, 0)])
     B = Region(2, [(1, 0), (0, 1), (1, 1)])
-    assert region_equals(A, B)
-    assert region_contains(A, (1, 0))
+    assert A == B
+    assert A.contains((1, 0))
     assert region_subset(Region(2, [(1, 1)]), A)
     assert not region_subset(A, Region(2, [(1, 1)]))
 

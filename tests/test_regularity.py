@@ -25,9 +25,9 @@ from multireg import (
     truncation_region,
     verify_ci_hypotheses,
 )
-from multireg.regularity import BoxBoundaryWarning
+from multireg.regularity import BoxBoundaryWarning, _truncation_verdict
 
-from .conftest import pp
+from .conftest import pp, saturated_corpus
 
 
 def test_classify_sb_quasilinear(P12):
@@ -121,18 +121,27 @@ def test_boundary_warning(P11):
         truncation_region(S, "Q", ((0, 0), (2, 2)))
 
 
-def test_upward_closure_spot_check(not_linear_module):
-    """Points above a found minimal element really are in the region,
-    by direct recomputation rather than pruning."""
-    M = not_linear_module
+def _assert_sweep_unpruned(M, mode, cache):
+    """The pruned sweep over [0,3]^2 contains exactly the points whose
+    own truncation passes in ``mode``."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoxBoundaryWarning)
-        R = truncation_region(M, "Q", ((0, 0), (3, 3)))
-    rng = random.Random(11)
-    above = [d for d in itertools.product(range(4), repeat=2)
-             if R.contains(d)]
-    for d in rng.sample(above, min(4, len(above))):
-        assert is_d_regular(M, d)
+        R = truncation_region(M, mode, ((0, 0), (3, 3)), cache=cache)
+    for d in itertools.product(range(4), repeat=2):
+        assert R.contains(d) == _truncation_verdict(M, d, mode, cache), \
+            (mode, d)
+
+
+def test_upward_closure_spot_check(P11, not_linear_module, not_linear_mirror):
+    """The sweep skips points above a found minimal element, assuming
+    upward closure; recomputing every point checks that assumption for
+    both the linear and the quasilinear region."""
+    modules = [not_linear_module, not_linear_mirror]
+    modules += saturated_corpus(P11, 3, seed=11)
+    for M in modules:
+        cache = {}
+        for mode in ("L", "Q"):
+            _assert_sweep_unpruned(M, mode, cache)
 
 
 def test_multigraded_regularity_requires_saturation(P12):

@@ -1,6 +1,8 @@
 import gc
 import itertools
 
+import pytest
+
 from multireg import (
     FreeModuleSpec,
     Poly,
@@ -11,6 +13,7 @@ from multireg import (
     ideal_matrix,
     truncate_free,
     truncate_module,
+    truncation_region,
 )
 
 from multireg.pieces import _SHARED, GradedPieces
@@ -64,6 +67,15 @@ def test_truncate_module_golden_not_linear(not_linear_module):
                         minimalize_presentation=True)
     assert betti(free_resolution(T)).data == {
         (0, (1, 0)): 2, (1, (2, 1)): 2}
+
+
+def test_wrong_rank_degrees_rejected(not_linear_module):
+    # zip would silently drop or miss coordinates
+    for d in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            truncate_module(not_linear_module, d)
+    with pytest.raises(ValueError):
+        truncation_region(not_linear_module, "Q", ((0, 0, 0), (3, 3, 3)))
 
 
 def test_truncation_trim_agrees_with_untrimmed(not_linear_module):
