@@ -232,6 +232,8 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
     """
     ring = M.ring
     lo, hi = tuple(box[0]), tuple(box[1])
+    if len(lo) != ring.r or len(hi) != ring.r:
+        raise ValueError(f"box {lo}..{hi} does not have rank {ring.r}")
     if not deg_leq(lo, hi):
         raise ValueError("box lower corner must be <= upper corner")
     if t_start is None:
@@ -302,6 +304,9 @@ def check_regularity_by_definition(M, d, box=None, table=None,
     """
     ring = M.ring
     d = tuple(d)
+    if len(d) != ring.r:
+        raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
+                         f"rank {ring.r}")
     corners = required_corners(ring, d)
     if box is None and table is not None:
         box = table.box

@@ -239,31 +239,21 @@ class _Engine:
 
 def _interreduce(vecs, p):
     """Turn a Groebner basis into the reduced one: minimal lead set,
-    fully reduced tails, monic, sorted by increasing lead."""
-    order = sorted(range(len(vecs)),
-                   key=lambda i: vecs[i][0][0])
+    fully reduced tails, monic, sorted by increasing lead.  Tails are
+    reduced against the whole kept set: an element's own lead never
+    divides a term of its tail, which has the same degree and is
+    smaller."""
     kept = []
-    kept_leads = []
-    for i in order:
-        key0 = vecs[i][0][0]
+    leads = {}
+    for terms in sorted(vecs, key=lambda t: t[0][0]):
+        key0 = terms[0][0]
         comp, mono = -key0[2], key0[1]
-        if any(c == comp and mono_divides(lm, mono)
-               for c, lm in kept_leads):
+        if _find_divisor(leads, comp, mono)[0] is not None:
             continue
-        kept.append(vecs[i])
-        kept_leads.append((comp, mono))
-    final = []
-    for pos, terms in enumerate(kept):
-        others = [t for q, t in enumerate(kept) if q != pos]
-        leads = {}
-        for q, t in enumerate(others):
-            k0 = t[0][0]
-            leads.setdefault(-k0[2], []).append((k0[1], q))
-        head = terms[:1]
-        tail, _ = _reduce_full(terms[1:], others, leads, p)
-        final.append(head + tail)
-    final.sort(key=lambda t: t[0][0])
-    return [Vector(t, _canonical=True) for t in final]
+        leads.setdefault(comp, []).append((mono, len(kept)))
+        kept.append(terms)
+    return [Vector(t[:1] + _reduce_full(t[1:], kept, leads, p)[0],
+                   _canonical=True) for t in kept]
 
 
 def buchberger(gens, ambient=None):

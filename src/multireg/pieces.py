@@ -17,6 +17,7 @@ from .ringcore import (
     Poly,
     Vector,
     deg_add,
+    deg_leq,
     deg_sub,
     free_basis_of_degree,
     mono_divides,
@@ -103,10 +104,10 @@ class GradedPieces:
         self._mult[key] = A
         return A
 
-    def variable_step_span(self, e, lower_bound=None):
+    def variable_step_span(self, e, lower_bound):
         """Columns spanning the images of all one-variable
-        multiplications M_{e - e_i} -> M_e, optionally only from pieces
-        whose degree stays componentwise >= lower_bound."""
+        multiplications M_{e - e_i} -> M_e from pieces whose degree
+        stays componentwise >= lower_bound."""
         ring = self.ring
         blocks = []
         for v in range(ring.nvars):
@@ -115,8 +116,7 @@ class GradedPieces:
             src_deg = deg_sub(e, dv)
             if any(x < 0 for x in src_deg):
                 continue
-            if lower_bound is not None and not all(
-                    a >= b for a, b in zip(src_deg, lower_bound)):
+            if not deg_leq(lower_bound, src_deg):
                 continue
             f = Poly.variable(ring, v)
             blocks.append(self.mult_matrix(f, src_deg))

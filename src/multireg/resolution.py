@@ -8,16 +8,19 @@ homology.  A complex with no such entries is minimal, and its twist
 multiplicities are the Betti numbers of the module it resolves.
 """
 
+import itertools
 from collections import Counter
 
+from .groebner import schreyer_frame
 from .ringcore import (
     FreeModuleSpec,
     MatrixOverS,
-    Poly,
     Vector,
     deg_add,
     deg_total,
     term_key,
+    vec_add,
+    vec_mono_mul,
 )
 
 
@@ -136,149 +139,66 @@ def is_minimal_complex(C):
 # ---------------------------------------------------------------------------
 # minimalization
 
-def _to_mutable(C):
-    ring = C.ring
-    twists = [list(t.twists) for t in C.terms]
-    diffs = []
-    for d in C.differentials:
-        cols = []
-        for col in d.columns:
-            entries = {}
-            for (tot, m, negc), c in col.terms:
-                entries.setdefault(-negc, []).append((m, c))
-            cols.append({k: Poly(ring, tuple(v), _canonical=False)
-                         for k, v in entries.items()})
-        diffs.append(cols)
-    return twists, diffs
-
-
-def _find_unit(cols):
-    """First unit entry in row-major order: smallest row index, then
-    column index."""
-    best = None
-    for l, col in enumerate(cols):
-        for k, f in col.items():
-            if f.is_unit_constant():
-                if best is None or (k, l) < best:
-                    best = (k, l)
-    return best
-
-
-def _eliminate(ring, twists, diffs, i, k, l):
-    """Cancel generator k of level i against generator l of level i+1
-    using the unit at (row k, column l) of diffs[i]."""
-    p = ring.p
-    A = diffs[i]
-    u = A[l][k].terms[0][1]
-    uinv = pow(u, -1, p)
-    pivot_col = A[l]
-    # column operations clearing row k, tracked for the next differential
-    qs = {}
-    for c, col in enumerate(A):
-        if c == l:
-            continue
-        f = col.get(k)
-        if f is None:
-            continue
-        q = f.scale(uinv)
-        qs[c] = q
-        for r, g in pivot_col.items():
-            new = col.get(r, Poly.zero(ring)) - q * g
-            if new:
-                col[r] = new
-            else:
-                col.pop(r, None)
-    if i + 1 < len(diffs):
-        B = diffs[i + 1]
-        for col in B:
-            add = Poly.zero(ring)
-            for c, q in qs.items():
-                f = col.get(c)
-                if f is not None:
-                    add = add + q * f
-            if add:
-                new = col.get(l, Poly.zero(ring)) + add
-                if new:
-                    col[l] = new
-                else:
-                    col.pop(l, None)
-            # row l will be deleted; leftover entries there vanish by
-            # exactness of the composite (checked below)
-    # row operations clearing column l, tracked for the previous one
-    if i > 0:
-        C = diffs[i - 1]
-        ws = {}
-        for r, g in pivot_col.items():
-            if r != k:
-                ws[r] = g.scale(uinv)
-        if ws:
-            target = C[k]
-            for r, w in ws.items():
-                src = C[r]
-                for row, f in src.items():
-                    new = target.get(row, Poly.zero(ring)) + w * f
-                    if new:
-                        target[row] = new
-                    else:
-                        target.pop(row, None)
-    # delete column l and row k from A
-    A.pop(l)
-    for col in A:
-        col.pop(k, None)
-    # delete row l from the next differential
-    if i + 1 < len(diffs):
-        for col in diffs[i + 1]:
-            col.pop(l, None)
-    # delete column k from the previous differential
-    if i > 0:
-        diffs[i - 1].pop(k)
-    # renumber rows above k in level i and fix twist lists
-    for col in A:
-        for r in sorted([r for r in col if r > k]):
-            col[r - 1] = col.pop(r)
-    if i + 1 < len(diffs):
-        for col in diffs[i + 1]:
-            for r in sorted([r for r in col if r > l]):
-                col[r - 1] = col.pop(r)
-    twists[i].pop(k)
-    twists[i + 1].pop(l)
+def _lowest_unit(cols):
+    """(row, column, coefficient) of the unit entry with the smallest
+    row, then the smallest column, or None.  Constant terms sort last
+    in a column."""
+    return min(((-key[2], l, c) for l, col in enumerate(cols) if col
+                for key, c in itertools.takewhile(lambda t: not t[0][0],
+                                                  reversed(col))),
+               default=None)
 
 
 def minimalize(C):
     """Homotopy-equivalent complex with no constant entries left in
-    any differential; homology is unchanged."""
+    any differential; homology is unchanged.
+
+    Each step is the Gaussian-elimination lemma for free complexes: a
+    unit u at (k, l) of d_i splits off S e_l -> S e_k.  What is left
+    has col_c -= (d_i[k, c] / u) col_l for each other column c of d_i,
+    then column l and row k of d_i, row l of d_{i+1} and column k of
+    d_{i-1} dropped; nothing else changes.  So cancelling in d_i only
+    drops a column of the d_{i-1} already cleared, which creates no
+    unit there, and one pass over the differentials in order leaves
+    none.  Dropping keeps the order of the generator ids, so units are
+    taken smallest row, then smallest column, by the original ids.
+    """
     if not C.differentials:
         return C
-    ring = C.ring
-    twists, diffs = _to_mutable(C)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diffs)):
-            while True:
-                hit = _find_unit(diffs[i])
-                if hit is None:
-                    break
-                _eliminate(ring, twists, diffs, i, hit[0], hit[1])
-                changed = True
-    # rebuild, dropping trailing zero terms
-    specs = [FreeModuleSpec(ring, tw) for tw in twists]
+    p = C.ring.p
+    live = [[True] * t.rank for t in C.terms]
+    diffs = []
+    for i, d in enumerate(C.differentials):
+        rows = live[i]
+        # rows cancelled as columns of d_{i-1} go now; the columns of
+        # d_{i-1} cancelled as rows here go at the rebuild
+        A = [tuple(t for t in col.terms if rows[-t[0][2]])
+             for col in d.columns]
+        while (hit := _lowest_unit(A)) is not None:
+            k, l, u = hit
+            pivot, A[l] = A[l], None
+            minus_uinv = p - pow(u, -1, p)
+            for c, col in enumerate(A):
+                for (tot, m, negc), f in [t for t in col or ()
+                                          if t[0][2] == -k]:
+                    A[c] = vec_add(A[c], vec_mono_mul(pivot, m,
+                                                      f * minus_uinv, p), p)
+            rows[k] = live[i + 1][l] = False
+        diffs.append(A)
+    # rebuild: renumber the surviving generators, drop trailing zeros
+    specs = [FreeModuleSpec(C.ring, [tw for tw, ok in zip(t.twists, alive)
+                                     if ok])
+             for t, alive in zip(C.terms, live)]
     mats = []
-    for i, cols in enumerate(diffs):
-        vecs = []
-        for col in cols:
-            terms = []
-            for k, f in col.items():
-                for m, c in f.terms:
-                    terms.append((term_key(k, m), c))
-            vecs.append(Vector(terms))
-        mats.append(MatrixOverS(specs[i + 1], specs[i], vecs, check=False))
-    while specs and specs[-1].rank == 0:
+    for i, A in enumerate(diffs):
+        new_id = list(itertools.accumulate(live[i], initial=0))
+        cols = [Vector(tuple(((tot, m, -new_id[-negc]), c)
+                             for (tot, m, negc), c in col), _canonical=True)
+                for col, ok in zip(A, live[i + 1]) if ok]
+        mats.append(MatrixOverS(specs[i + 1], specs[i], cols, check=False))
+    while len(specs) > 1 and specs[-1].rank == 0:
         specs.pop()
-        if mats:
-            mats.pop()
-    if not specs:
-        specs = [FreeModuleSpec(ring, ())]
+        mats.pop()
     return FreeComplex(specs, mats, check=False)
 
 
@@ -294,7 +214,6 @@ def free_resolution(M):
     minimalization at the end removes the non-minimal generators this
     introduces along with everything else.
     """
-    from .groebner import schreyer_frame
     diffs = schreyer_frame(M.relations, M.ring.nvars)
     terms = [M.F0] + [d.source for d in diffs]
     raw = FreeComplex(terms, diffs, check=False)
@@ -315,10 +234,9 @@ def koszul_complex(ring, elements):
     powers, the differential contracts with the element list."""
     degs = [f.degree() for f in elements]
     c = len(elements)
-    from itertools import combinations
     levels = []
     for k in range(c + 1):
-        subsets = list(combinations(range(c), k))
+        subsets = list(itertools.combinations(range(c), k))
         twists = [tuple(sum(degs[j][t] for j in T) for t in range(ring.r))
                   for T in subsets]
         levels.append((subsets, FreeModuleSpec(ring, twists)))

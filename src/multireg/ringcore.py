@@ -476,6 +476,9 @@ class FreeModuleSpec:
 def free_basis_of_degree(spec, d):
     """Basis of the degree-d piece of a free module: pairs (component,
     monomial), component-major, monomials in descending term order."""
+    if len(d) != spec.ring.r:
+        raise ValueError(f"degree {tuple(d)} has rank {len(d)}; the ring "
+                         f"has rank {spec.ring.r}")
     out = []
     for k, tw in enumerate(spec.twists):
         rel = deg_sub(d, tw)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from multireg import (
     StabilizationNotReached,
     check_regularity_by_definition,
     free_resolution,
+    hilbert_function,
     irrelevant_ideal,
     line_bundle_cohomology,
     local_cohomology_box,
@@ -17,6 +19,7 @@ from multireg import (
     truncate_module,
 )
 from multireg.cohomology import bracket_power_complex, required_corners
+from multireg.pieces import GradedPieces
 from multireg.regularity import classify_resolution
 from multireg.resolution import betti
 
@@ -161,6 +164,20 @@ def test_required_corners_and_box_too_small(P11):
     assert min(c[0] for c in corners) == -2
     with pytest.raises(BoxTooSmall):
         check_regularity_by_definition(S, (0, 0), box=((0, 0), (2, 2)))
+
+
+@pytest.mark.parametrize("degree", [(1,), (1, 0, 0)], ids=["short", "long"])
+@pytest.mark.parametrize("call", [
+    lambda M, d: hilbert_function(M, d),
+    lambda M, d: GradedPieces.of(M).dim(d),
+    lambda M, d: local_cohomology_box(M, (d, d)),
+    lambda M, d: check_regularity_by_definition(M, d),
+], ids=["hilbert_function", "graded_pieces", "local_cohomology_box",
+        "definition_check"])
+def test_wrong_rank_degree_rejected(not_linear_module, call, degree):
+    # zip in the degree arithmetic would drop or miss a coordinate
+    with pytest.raises(ValueError, match=re.escape(str(degree))):
+        call(not_linear_module, degree)
 
 
 def test_definition_check_ring(P11):

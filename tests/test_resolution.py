@@ -111,6 +111,65 @@ def test_minimalize_padded_complex(P11):
                               (2, (2, 0)): 1}
 
 
+def _elementary_change(F, d, level, r, s, f):
+    """Conjugate the complex by the basis change e_s -> e_s + f e_r at
+    ``level``: d_{level-1} becomes d_{level-1} E^-1, d_level E d_level."""
+    spec = F[level]
+
+    def elementary(g):
+        rows = [[Poly.one(spec.ring) if a == b else Poly.zero(spec.ring)
+                 for b in range(spec.rank)] for a in range(spec.rank)]
+        rows[r][s] = g
+        return MatrixOverS.from_entries(spec, spec, rows)
+
+    if level:
+        d[level - 1] = d[level - 1].compose(elementary(-f))
+    if level < len(d):
+        d[level] = elementary(f).compose(d[level])
+
+
+def test_minimalize_across_adjacent_differentials(P11):
+    """The Koszul complex of (x0, x1) padded with a trivial summand
+    across each pair of levels, conjugated by unitriangular basis
+    changes: every unit's row and column carry other entries, row 0
+    of d_0 holds two units, and cancelling in one differential deletes
+    a row of the next and a column of the previous."""
+    x0, x1, y0, y1 = (pp(P11, v) for v in ("x0", "x1", "y0", "y1"))
+    Z, one = Poly.zero(P11), Poly.one(P11)
+    F = [FreeModuleSpec(P11, tw) for tw in (
+        [(1, 0), (0, 0)],
+        [(1, 1), (1, 0), (1, 0), (1, 0)],
+        [(2, 1), (1, 1), (2, 0)],
+        [(2, 1)])]
+    d = [MatrixOverS.from_entries(F[1], F[0], [
+            [Z, one, Z, Z],
+            [Z, Z, x0, x1]]),
+         MatrixOverS.from_entries(F[2], F[1], [
+            [Z, one, Z],
+            [Z, Z, Z],
+            [Z, Z, -x1],
+            [Z, Z, x0]]),
+         MatrixOverS.from_entries(F[3], F[2], [[one], [Z], [Z]])]
+    for level, r, s, f in [(0, 1, 0, x1), (1, 2, 1, one),
+                           (1, 1, 3, one.scale(2)), (1, 1, 0, y0),
+                           (1, 3, 0, y1), (2, 2, 0, y1), (2, 1, 0, x0)]:
+        _elementary_change(F, d, level, r, s, f)
+    C = FreeComplex(F, d)
+    for diff in C.differentials:
+        # a unit (a constant term sorts last) sharing its column
+        assert any(len(col.terms) > 1 and col.terms[-1][0][0] == 0
+                   for col in diff.columns)
+    mc = minimalize(C)
+    assert is_minimal_complex(mc)
+    # rebuilt with the checks on: homogeneous columns, d o d = 0
+    FreeComplex(mc.terms, [MatrixOverS(a.source, a.target, a.columns)
+                           for a in mc.differentials])
+    assert betti(mc).data == {(0, (0, 0)): 1, (1, (1, 0)): 2,
+                              (2, (2, 0)): 1}
+    M = Presentation.quotient_by_ideal(P11, [x0, x1])
+    _check_exactness(mc, M, list(itertools.product(range(4), repeat=2)))
+
+
 def test_is_minimal_detects_units(P11):
     F = FreeModuleSpec(P11, ((0, 0),))
     C = FreeComplex([F, F], [MatrixOverS.identity(F)], check=False)
