@@ -18,6 +18,8 @@ from .errors import MultiregError, ParseError
 from .groebner import ideal_matrix, irrelevant_ideal, saturate
 from .parser import parse_input
 from .regions import (
+    betti_bound_L,
+    betti_bound_Q,
     region_L,
     region_Q,
     staircase_svg,
@@ -104,8 +106,7 @@ def _module_of(args):
     M = job.module()
     if getattr(args, "truncate_at", None):
         M = truncate_module(
-            M, _parse_degree(args.truncate_at, job.ring.r, "--truncate-at"),
-            minimalize_presentation=True)
+            M, _parse_degree(args.truncate_at, job.ring.r, "--truncate-at"))
     return job, M
 
 
@@ -119,7 +120,7 @@ def cmd_betti(args):
 def cmd_truncate(args):
     job = _load_job(args)
     d = _parse_degree(args.truncate_at, job.ring.r, "--truncate-at")
-    M = truncate_module(job.module(), d, minimalize_presentation=True)
+    M = truncate_module(job.module(), d)
     def render():
         lines = [f"generators: {[list(t) for t in M.F0.twists]}",
                  f"relations: {M.relations.source.rank}"]
@@ -186,7 +187,6 @@ def cmd_linear_truncations(args):
 
 
 def cmd_betti_bounds(args):
-    from .regions import betti_bound_L, betti_bound_Q
     job, M = _module_of(args)
     table = betti(free_resolution(M))
     L = betti_bound_L(table)
@@ -337,18 +337,14 @@ def build_parser():
     s.add_argument("--prime", type=int, default=None)
     s.add_argument("--degrees", nargs="*", default=None, metavar="d1,d2",
                    help="skip the file and give generator degrees directly")
-    s.add_argument("--format", choices=("text", "json", "svg"),
-                   default="text")
-    s.add_argument("--output", default=None)
+    _add_common(s, file_arg=False)
     s.set_defaults(fn=cmd_ci_regularity)
 
     s = sub.add_parser("region", help="print a staircase region L or Q")
     s.add_argument("kind", choices=("L", "Q"))
     s.add_argument("level", type=int)
     s.add_argument("degree", metavar="d1,d2")
-    s.add_argument("--format", choices=("text", "json", "svg"),
-                   default="text")
-    s.add_argument("--output", default=None)
+    _add_common(s, file_arg=False)
     s.set_defaults(fn=cmd_region)
 
     s = sub.add_parser("cohomology",

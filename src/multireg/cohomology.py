@@ -30,10 +30,12 @@ from .ringcore import (
     FreeModuleSpec,
     MatrixOverS,
     Poly,
+    Vector,
     deg_add,
     deg_leq,
     deg_max,
     deg_sub,
+    term_key,
     unit_degree,
     zero_degree,
 )
@@ -107,7 +109,6 @@ def _augmentation_columns(ring, t):
     variable per block) to its product of t-th powers in the ring.
     The tensor construction enumerates generators in the same
     block-major order as this product."""
-    from .ringcore import Vector, term_key
     index_lists = [list(ring.block(i)) for i in range(ring.r)]
     cols = []
     for combo in _iterproduct(*index_lists):

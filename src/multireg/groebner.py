@@ -15,6 +15,7 @@ module component, which keeps pair counts low for high-rank modules.
 """
 
 import heapq
+from itertools import combinations
 
 from .errors import InhomogeneousError, RingMismatchError
 from .ringcore import (
@@ -23,6 +24,7 @@ from .ringcore import (
     Poly,
     Vector,
     deg_add,
+    deg_sub,
     deg_total,
     mono_div,
     mono_mul,
@@ -33,6 +35,7 @@ from .ringcore import (
     vec_add,
     vec_mono_mul,
     vec_scale,
+    zero_degree,
 )
 
 
@@ -461,67 +464,55 @@ def schreyer_frame(relations, cap):
     return mats
 
 
+def _common_colon(pairs):
+    """Generators of {v in F : g_j*v in N_j for every pair (N_j, g_j)},
+    for submodules N_j of one free module F (given as matrices into F)
+    and nonzero homogeneous g_j.
+
+    This is the kernel of F -> (+)_j F/N_j, v -> (g_j*v)_j, projected
+    to F.  Block j of the stacked target is F twisted down by deg(g_j),
+    so the column of each generator of F keeps that generator's degree
+    whatever the degrees of the g_j.
+    """
+    F = pairs[0][0].target
+    if any(N.target != F for N, _ in pairs):
+        raise RingMismatchError("ambient free modules differ")
+    ring = F.ring
+    rank = F.rank
+    shifts = [g.degree() for _, g in pairs]
+    stacked = FreeModuleSpec(ring, [deg_sub(tw, s) for s in shifts
+                                    for tw in F.twists])
+    cols = []
+    for k in range(rank):
+        cols.append(Vector([(term_key(k + j * rank, m), c)
+                            for j, (_, g) in enumerate(pairs)
+                            for m, c in g.terms]))
+    twists = list(F.twists)
+    for j, (N, _) in enumerate(pairs):
+        for w, tw in zip(N.columns, N.source.twists):
+            cols.append(Vector(tuple(((tot, m, negc - j * rank), c)
+                                     for (tot, m, negc), c in w.terms),
+                               _canonical=True))
+            twists.append(deg_sub(tw, shifts[j]))
+    big = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
+    return _span_matrix(kernel_projection(big, rank), F)
+
+
 def colon(N, f):
     """Generators of (N : f) = {v in F : f*v in N} for a submodule N
     of the free module F (given as a matrix into F) and homogeneous f."""
     if not f:
         raise ValueError("colon by zero")
-    fd = f.degree()
-    F = N.target
-    ring = F.ring
-    cols = []
-    twists = []
-    for k in range(F.rank):
-        cols.append(Vector.from_components(
-            [f if i == k else None for i in range(F.rank)]))
-        twists.append(deg_add(F.twists[k], fd))
-    cols.extend(N.columns)
-    twists.extend(N.source.twists)
-    big = MatrixOverS(FreeModuleSpec(ring, twists), F, cols, check=False)
-    projected = kernel_projection(big, F.rank)
-    return _span_matrix(projected, F)
+    return _common_colon([(N, f)])
 
 
 def colon_by_ideal(N, gens):
-    """Generators of (N : J) = {v in F : g*v in N for all g in J}.
-
-    When all generators of J share one degree this is a single kernel
-    of F -> (F/N)^|gens|; otherwise it falls back to intersecting the
-    one-element colons.
-    """
+    """Generators of (N : J) = {v in F : g*v in N for all g in J}, as
+    one kernel of F -> (F/N)^|gens| whatever the generator degrees."""
     gens = [g for g in gens if g]
     if not gens:
         raise ValueError("colon by the zero ideal")
-    degs = {g.degree() for g in gens}
-    if len(degs) > 1:
-        out = colon(N, gens[0])
-        for g in gens[1:]:
-            out = intersect_submodules(out, colon(N, g))
-        return out
-    gdeg = degs.pop()
-    F = N.target
-    ring = F.ring
-    t = len(gens)
-    stacked = FreeModuleSpec(ring, F.twists * t)
-    rank = F.rank
-    cols = []
-    twists = []
-    for k in range(rank):
-        terms = []
-        for j, g in enumerate(gens):
-            for m, c in g.terms:
-                terms.append((term_key(k + j * rank, m), c))
-        cols.append(Vector(terms))
-        twists.append(deg_add(F.twists[k], gdeg))
-    for j in range(t):
-        for w in N.columns:
-            shifted = tuple(((tot, m, negc - j * rank), c)
-                            for (tot, m, negc), c in w.terms)
-            cols.append(Vector(shifted))
-            twists.append(w.degree(F))
-    big = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
-    projected = kernel_projection(big, rank)
-    return _span_matrix(projected, F)
+    return _common_colon([(N, g) for g in gens])
 
 
 def _span_matrix(vectors, ambient):
@@ -545,36 +536,12 @@ def submodules_equal(A, B):
 
 def intersect_submodules(N1, N2):
     """Generators of N1 ∩ N2 via the kernel of F -> F/N1 ⊕ F/N2."""
-    if N1.target != N2.target:
-        raise RingMismatchError("ambient free modules differ")
-    F = N1.target
-    ring = F.ring
-    double = FreeModuleSpec(ring, F.twists + F.twists)
-    rank = F.rank
-    from .ringcore import mono_one
-    one = mono_one(ring)
-    cols = []
-    twists = []
-    for k in range(rank):
-        cols.append(Vector(((term_key(k, one), 1),
-                            (term_key(k + rank, one), 1))))
-        twists.append(F.twists[k])
-    for v in N1.columns:
-        cols.append(v)
-        twists.append(v.degree(F))
-    for v in N2.columns:
-        shifted = tuple((((tot, m, negc - rank), c))
-                        for (tot, m, negc), c in v.terms)
-        cols.append(Vector(shifted))
-        twists.append(v.degree(F))
-    big = MatrixOverS(FreeModuleSpec(ring, twists), double, cols, check=False)
-    projected = kernel_projection(big, rank)
-    return _span_matrix(projected, F)
+    one = Poly.one(N1.ring)
+    return _common_colon([(N1, one), (N2, one)])
 
 
 def ideal_matrix(ring, gens):
     """Package homogeneous polynomials as a submodule of S."""
-    from .ringcore import zero_degree
     F = FreeModuleSpec(ring, (zero_degree(ring.r),))
     cols = []
     twists = []
@@ -597,11 +564,8 @@ def saturate(N, J):
     the submodule stabilizes (reduced Groebner basis equality).
 
     Each round computes the simultaneous colon (N : J), which equals
-    the intersection of the one-generator colons; both routes are
-    exposed and agree, the simultaneous kernel is just cheaper.
+    the intersection of the one-generator colons.
     """
-    if isinstance(J, MatrixOverS):
-        J = [J.entry(0, l) for l in range(J.source.rank)]
     cur = _span_matrix(list(N.columns), N.target)
     while True:
         nxt = colon_by_ideal(cur, J)
@@ -613,7 +577,6 @@ def saturate(N, J):
 def quotient_ring_dimension(ring, gens):
     """Krull dimension of S/I from the initial ideal: the largest
     number of variables avoiding the support of every lead monomial."""
-    from itertools import combinations
     gb = buchberger(ideal_matrix(ring, gens))
     supports = []
     for g in gb.elements:

@@ -131,7 +131,7 @@ def is_d_regular(M, d):
 def _truncation_betti(M, d, cache=None):
     if cache is not None and d in cache:
         return cache[d]
-    T = truncate_module(M, d, minimalize_presentation=True)
+    T = truncate_module(M, d)
     table = betti(free_resolution(T))
     if cache is not None:
         cache[d] = table

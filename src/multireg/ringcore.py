@@ -406,9 +406,6 @@ class Poly:
                 raise InhomogeneousError(f"{self} is not homogeneous")
         return d
 
-    def is_unit_constant(self):
-        return (len(self.terms) == 1 and not any(self.terms[0][0]))
-
     def __repr__(self):
         return poly_to_string(self)
 

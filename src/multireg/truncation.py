@@ -84,22 +84,21 @@ def _trim_generators(M, d, G, inc):
     return G2, MatrixOverS(G2, inc.target, cols, check=False)
 
 
-def truncate_module(M, d, minimalize_presentation=False):
+def truncate_module(M, d):
     """Presentation of the truncation of M at d.
 
-    Generators are the free-cover generators of the truncation of F0
-    composed into M; relations are the preimage of M's relations.  The
-    result has the same Hilbert function as M in degrees >= d and
-    vanishes elsewhere.  With ``minimalize_presentation`` the monomial
-    generators are first cut down to a minimal generating set, which
-    keeps later resolutions small.
+    Generators are a minimal generating subset of the free-cover
+    generators of the truncation of F0 composed into M, which keeps
+    later resolutions small; relations are the preimage of M's
+    relations.  The result has the same Hilbert function as M in
+    degrees >= d and vanishes elsewhere.
     """
     d = tuple(d)
     if len(d) != M.ring.r:
         raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
                          f"rank {M.ring.r}")
     G, inc = truncate_free(M.F0, d)
-    if minimalize_presentation and G.rank:
+    if G.rank:
         G, inc = _trim_generators(M, d, G, inc)
     rels = _preimage_relations(inc, M.relations)
     return Presentation(G, rels)

@@ -79,7 +79,7 @@ def _report(number, description):
             "mirror")
 def test_criterion_1(not_linear_module, not_linear_mirror):
     M, N = not_linear_module, not_linear_mirror
-    T = truncate_module(M, (1, 0), minimalize_presentation=True)
+    T = truncate_module(M, (1, 0))
     table = betti(free_resolution(T))
     assert table.data == {(0, (1, 0)): 2, (1, (2, 1)): 2}
     v = classify_resolution(table)
@@ -115,7 +115,7 @@ def test_criterion_3(hyperelliptic_module):
     M = hyperelliptic_module
     table = betti(free_resolution(M))
     assert table.data == HYPERELLIPTIC_BETTI               # (a)
-    T = truncate_module(M, (2, 1), minimalize_presentation=True)
+    T = truncate_module(M, (2, 1))
     assert betti(free_resolution(T)).data == HYPERELLIPTIC_TRUNC_21_BETTI
     assert betti_bound_L(table).minimal_generators == ((2, 7),)   # (c)
     assert betti_bound_Q(table).minimal_generators == ((2, 7),)
@@ -286,7 +286,7 @@ def test_criterion_8(P11, P12, hyperelliptic_module, not_linear_module):
             b = tuple(rng.randint(-2, 2) for _ in range(ring.r))
             d = tuple(rng.randint(-2, 2) for _ in range(ring.r))
             M = Presentation(FreeModuleSpec(ring, (b,)))
-            T = truncate_module(M, d, minimalize_presentation=True)
+            T = truncate_module(M, d)
             v = classify_resolution(betti(free_resolution(T)))
             assert v.kind == "linear", (ring.n, b, d)
 

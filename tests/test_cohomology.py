@@ -136,7 +136,7 @@ def test_truncation_cohomology_identity(not_linear_module):
     indices below the truncation degree."""
     M = not_linear_module
     d = (1, 1)
-    T = truncate_module(M, d, minimalize_presentation=True)
+    T = truncate_module(M, d)
     box = ((0, 0), (3, 3))
     tm = local_cohomology_box(M, box, t_start=4)
     tt = local_cohomology_box(T, box, t_start=4)
@@ -203,7 +203,7 @@ def test_linear_truncation_iff_cohomology_on_q_regions(not_linear_module):
     box = ((-2, -2), (4, 4))
     tab = local_cohomology_box(M, box)
     for d in itertools.product(range(0, 3), repeat=2):
-        T = truncate_module(M, d, minimalize_presentation=True)
+        T = truncate_module(M, d)
         v = classify_resolution(betti(free_resolution(T)))
         is_lin = v.kind == "linear" and v.gen_degree == d
         coh_ok = True

@@ -6,6 +6,7 @@ import pytest
 from multireg import (
     FreeModuleSpec,
     InhomogeneousError,
+    RingMismatchError,
     MatrixOverS,
     Poly,
     Presentation,
@@ -24,7 +25,7 @@ from multireg import (
     submodules_equal,
     syzygies,
 )
-from multireg import modp
+from multireg import groebner, modp
 from multireg.groebner import schreyer_frame
 
 from .conftest import pp
@@ -178,6 +179,31 @@ def test_colon_by_ideal_matches_intersection(P11):
     assert submodules_equal(one_shot, folded)
 
 
+def test_colon_by_mixed_degree_ideal_is_one_kernel(P11, monkeypatch):
+    """Generators of different degrees still give one stacked kernel,
+    and it equals the fold of one-generator colons."""
+    N = ideal_matrix(P11, [pp(P11, "x0^2*y0"), pp(P11, "x1*y1^2"),
+                           pp(P11, "x0*x1*y0*y1")])
+    B = irrelevant_ideal(P11)
+    J = [B[0], B[1] ** 2, pp(P11, "x0") * B[-1] ** 2]
+    assert len({g.degree() for g in J}) == 3
+    folded = colon(N, J[0])
+    for g in J[1:]:
+        folded = intersect_submodules(folded, colon(N, g))
+    calls = []
+    kernel = groebner.kernel_projection
+
+    def counted(M, rank):
+        calls.append(rank)
+        return kernel(M, rank)
+
+    monkeypatch.setattr(groebner, "kernel_projection", counted)
+    one_shot = colon_by_ideal(N, J)
+    assert calls == [1]
+    assert submodules_equal(one_shot, folded)
+    assert not submodules_equal(one_shot, N)
+
+
 def test_intersect_coprime_monomials(P11):
     A = intersect_submodules(ideal_matrix(P11, [pp(P11, "x0")]),
                              ideal_matrix(P11, [pp(P11, "x1")]))
@@ -192,7 +218,7 @@ def test_intersect_self(P11):
 def test_intersect_rank_mismatch(P11):
     N = ideal_matrix(P11, [pp(P11, "x0")])
     other = MatrixOverS.identity(FreeModuleSpec(P11, ((0, 0), (0, 0))))
-    with pytest.raises(Exception):
+    with pytest.raises(RingMismatchError):
         intersect_submodules(N, other)
 
 

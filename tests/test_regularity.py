@@ -39,16 +39,14 @@ def test_classify_sb_quasilinear(P12):
 
 
 def test_classify_not_linear_truncation(not_linear_module):
-    T = truncate_module(not_linear_module, (1, 0),
-                        minimalize_presentation=True)
+    T = truncate_module(not_linear_module, (1, 0))
     v = classify_resolution(betti(free_resolution(T)))
     assert v.kind == "quasilinear"
     assert (1, (2, 1), "L") in v.witnesses
 
 
 def test_classify_hyperelliptic_neither(hyperelliptic_module):
-    T = truncate_module(hyperelliptic_module, (2, 1),
-                        minimalize_presentation=True)
+    T = truncate_module(hyperelliptic_module, (2, 1))
     v = classify_resolution(betti(free_resolution(T)))
     assert v.kind == "neither"
     assert (1, (2, 3), "Q") in v.witnesses
@@ -218,7 +216,7 @@ def test_twisted_free_truncations_are_linear(P11, P12):
                 d = tuple(rng.randint(-2, 2) for _ in range(ring.r))
                 M = Presentation(
                     __import__("multireg").FreeModuleSpec(ring, (b,)))
-                T = truncate_module(M, d, minimalize_presentation=True)
+                T = truncate_module(M, d)
                 v = classify_resolution(betti(free_resolution(T)))
                 assert v.kind == "linear", (ring.n, b, d)
 

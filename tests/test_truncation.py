@@ -17,6 +17,7 @@ from multireg import (
 )
 
 from multireg.pieces import _SHARED, GradedPieces
+from multireg.truncation import _preimage_relations, _trim_generators
 
 from .conftest import HYPERELLIPTIC_TRUNC_21_BETTI, pp
 
@@ -63,8 +64,7 @@ def test_truncate_module_identity(P11):
 
 
 def test_truncate_module_golden_not_linear(not_linear_module):
-    T = truncate_module(not_linear_module, (1, 0),
-                        minimalize_presentation=True)
+    T = truncate_module(not_linear_module, (1, 0))
     assert betti(free_resolution(T)).data == {
         (0, (1, 0)): 2, (1, (2, 1)): 2}
 
@@ -79,9 +79,13 @@ def test_wrong_rank_degrees_rejected(not_linear_module):
 
 
 def test_truncation_trim_agrees_with_untrimmed(not_linear_module):
-    a = truncate_module(not_linear_module, (1, 0))
-    b = truncate_module(not_linear_module, (1, 0),
-                        minimalize_presentation=True)
+    """The trimmed truncation has the Betti table of the presentation
+    on the full monomial cover."""
+    M = not_linear_module
+    G, inc = truncate_free(M.F0, (1, 0))
+    a = Presentation(G, _preimage_relations(inc, M.relations))
+    b = truncate_module(M, (1, 0))
+    assert b.F0.rank < G.rank
     assert betti(free_resolution(a)).data == betti(free_resolution(b)).data
 
 
@@ -92,7 +96,7 @@ def test_trimming_shares_graded_pieces(P11):
     before = len(_SHARED)
     M = Presentation.quotient_by_ideal(P11, [pp(P11, "x0*y1 - x1*y0")])
     for d in [(1, 1), (2, 1), (1, 2)]:
-        truncate_module(M, d, minimalize_presentation=True)
+        truncate_module(M, d)
     assert len(_SHARED) == before + 1
     del M
     gc.collect()
@@ -111,8 +115,7 @@ def test_graded_pieces_cache_frees_entries(P11):
 
 
 def test_truncate_hyperelliptic_golden(hyperelliptic_module):
-    T = truncate_module(hyperelliptic_module, (2, 1),
-                        minimalize_presentation=True)
+    T = truncate_module(hyperelliptic_module, (2, 1))
     assert betti(free_resolution(T)).data == HYPERELLIPTIC_TRUNC_21_BETTI
 
 
@@ -131,9 +134,8 @@ def test_truncation_composition(P11, not_linear_module):
     """Truncating twice equals truncating at the componentwise max."""
     M = not_linear_module
     d1, d2 = (1, 0), (0, 2)
-    T12 = truncate_module(truncate_module(M, d1), d2,
-                          minimalize_presentation=True)
-    Tmax = truncate_module(M, (1, 2), minimalize_presentation=True)
+    T12 = truncate_module(truncate_module(M, d1), d2)
+    Tmax = truncate_module(M, (1, 2))
     for e in itertools.product(range(4), repeat=2):
         assert hilbert_function(T12, e) == hilbert_function(Tmax, e)
     assert betti(free_resolution(T12)).data == \
@@ -163,7 +165,8 @@ def test_truncation_relations_are_preimage(not_linear_module):
     from multireg import buchberger, normal_form
     M = not_linear_module
     T = truncate_module(M, (1, 1))
-    G, inc = truncate_free(M.F0, (1, 1))
+    G, inc = _trim_generators(M, (1, 1), *truncate_free(M.F0, (1, 1)))
+    assert G == T.F0
     gb = buchberger(M.relations.columns, M.F0)
     for col in T.relations.columns:
         image = inc.apply(col)
