@@ -5,11 +5,14 @@ arguments, print text by default, and emit versioned JSON with
 --format=json; rank-2 regions can also be written as SVG staircases.
 Exit codes: 0 on success, 1 on a computation error (for example a
 module with irrelevant torsion where the truncation criterion was
-requested), 2 on a parse error.
+requested), 2 on a parse error, 141 (128 + SIGPIPE, as a shell reports
+a process killed by a broken pipe) when the reader of the output closes
+it early.
 """
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -376,6 +379,13 @@ def main(argv=None):
     except MultiregError as exc:
         _report_error(args, exc)
         return 1
+    except BrokenPipeError:
+        # nobody reads the rest: point stdout at devnull so that the
+        # flush at exit has somewhere to go, and stop without a report
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except OSError as exc:
         _report_error(args, exc)
         return 1

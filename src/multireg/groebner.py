@@ -10,6 +10,18 @@ working element carries its representation in terms of the original
 generators; each reduction to zero then hands us one homogeneous
 syzygy, and together these generate the full syzygy module.
 
+Two criteria skip S-pairs.  Buchberger's chain criterion, in the
+strict form of Gebauer and Moeller ("On an installation of
+Buchberger's algorithm", JSC 6, 1988), runs in every run, tracked or
+not: it skips a pair whose lead syzygy is a combination of the lead
+syzygies of two pairs with strictly smaller lcm.  The lifts of any
+generating set of lead syzygies generate all syzygies (Schreyer; see
+Moeller, Mora and Traverso, "Groebner bases computation using syzygies",
+ISSAC 1992), so the syzygies of the treated pairs still generate the
+module.  The product criterion runs in untracked runs only: the pairs
+it skips carry Koszul syzygies that a tracked run would have to write
+down.
+
 S-pairs only exist between elements whose lead terms share a free
 module component, which keeps pair counts low for high-rank modules.
 """
@@ -164,8 +176,10 @@ class _Engine:
 
     With ``tracked`` every working element carries its expression in
     the original generators, and reductions to zero are recorded as
-    syzygies.  Untracked runs skip pairs by the product criterion,
-    whose skipped syzygies nobody asks for.
+    syzygies.  Every run skips pairs by the chain criterion, whose
+    skipped syzygies follow from those of smaller pairs.  Untracked
+    runs also skip pairs by the product criterion, whose skipped
+    syzygies nobody asks for.
     """
 
     def __init__(self, target, tracked=False):
@@ -229,6 +243,12 @@ class _Engine:
             if (not self.tracked and mono_coprime(mi, mj)
                     and self.solo[i] is not None
                     and self.solo[i] == self.solo[j]):
+                continue
+            # chain criterion: the lcms of (i, k) and (k, j) properly
+            # divide this one, so neither skip can depend on this pair
+            if any(k != i and k != j and mono_divides(mk, lcm)
+                   and mono_lcm(mk, mi) != lcm and mono_lcm(mk, mj) != lcm
+                   for mk, k in self.leads[-ti[0][0][2]]):
                 continue
             qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
             s = vec_add(vec_mono_mul(ti, qi, 1, p),
@@ -382,7 +402,7 @@ def _reduce_to_zero_in_order(start, tails, lead_lookup, order, p):
     return quotients
 
 
-def schreyer_frame(relations, cap):
+def schreyer_frame(relations):
     """Iterated syzygies of a presentation, reducing in Schreyer
     orders all the way up.
 
@@ -393,7 +413,20 @@ def schreyer_frame(relations, cap):
     with a dominated lead are dropped, and reductions run in the
     induced order.  Returns the list of differentials (each mapping
     the free module on one level's elements onto the kernel of the
-    previous one).
+    previous one), up to the first level with no pair left.
+
+    The frame is not minimal, so Hilbert's bound on the length of a
+    minimal resolution does not cap it (it can be one level longer
+    than the number of variables); the loop ends for another reason.
+    Call an element's lead component its parent.  By induction, each
+    level-k element stands for a set of k level-one elements of one
+    target component, its parent's set plus one: two elements over a
+    common parent stand for P + {a} and P + {b}, and their pair gives
+    an element standing for P + {a, b}.  Here a != b: distinct
+    elements over one parent come from pairs with distinct partners,
+    which by induction added distinct level-one elements.  So there
+    are at most as many levels as level-one leads in one target
+    component.
     """
     ring = relations.ring
     p = ring.p
@@ -412,7 +445,7 @@ def schreyer_frame(relations, cap):
         degrees.append(g.degree(target))
     mats = [MatrixOverS(FreeModuleSpec(ring, degrees), target, gb.elements,
                         check=False)]
-    while len(mats) < cap:
+    while True:
         src = mats[-1].source
         lead_lookup = {}
         for i, (comp, mono) in enumerate(leads):

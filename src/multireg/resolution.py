@@ -203,9 +203,7 @@ def minimalize(C):
 
 
 def free_resolution(M):
-    """Minimal free resolution of coker(M.relations).  The tower stops
-    at homological index the number of variables, which bounds every
-    resolution length over S.
+    """Minimal free resolution of coker(M.relations).
 
     The tower of iterated syzygies is computed first and minimalized
     second.  Each tower step replaces the incoming kernel generators
@@ -214,7 +212,7 @@ def free_resolution(M):
     minimalization at the end removes the non-minimal generators this
     introduces along with everything else.
     """
-    diffs = schreyer_frame(M.relations, M.ring.nvars)
+    diffs = schreyer_frame(M.relations)
     terms = [M.F0] + [d.source for d in diffs]
     raw = FreeComplex(terms, diffs, check=False)
     return minimalize(raw)

@@ -86,6 +86,16 @@ def hyperelliptic_module(hyperelliptic):
     return Presentation(hyperelliptic.target, hyperelliptic)
 
 
+@pytest.fixture(scope="session")
+def overlong_frame_module(P11):
+    """A saturated quotient of S on P1 x P1 whose truncation at (3,3)
+    has a Schreyer frame of five differentials on four variables
+    (ranks 6, 22, 30, 20, 7, 1)."""
+    gens = [pp(P11, "x1*y1^2"), pp(P11, "x0*x1^2"), pp(P11, "y1^4"),
+            pp(P11, "x0^2*y1^2 - 7309*x0*x1*y0^2")]
+    return Presentation.quotient_by_ideal(P11, gens)
+
+
 HYPERELLIPTIC_BETTI = {
     (0, (0, 0)): 1,
     (1, (3, 1)): 1, (1, (2, 2)): 1, (1, (2, 3)): 2, (1, (1, 5)): 3,

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -113,6 +114,18 @@ def test_cli_betti_truncated(capsys):
     assert entries[(0, (2, 1))] == 9
     assert entries[(1, (2, 2))] == 10
     assert entries[(3, (3, 3))] == 2
+
+
+def test_cli_betti_truncated_full_frame(capsys):
+    """The Schreyer frame of this truncation has six differentials on
+    five variables; its last one cancels in the minimal resolution and
+    leaves no Betti number at index 5."""
+    code, out, _ = _run(
+        ["betti", str(DATA / "hyperelliptic.mr"), "--truncate-at", "0,1",
+         "--format", "json"], capsys)
+    assert code == 0
+    indices = {e["index"] for e in json.loads(out)["entries"]}
+    assert indices == {0, 1, 2, 3, 4}
 
 
 def test_cli_regularity_hyperelliptic(capsys):
@@ -254,3 +267,23 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[0, 2], [1, 1]" in proc.stdout
+
+
+def test_cli_broken_pipe_is_quiet():
+    """A reader that closes the output after one line gets exit 141 and
+    an empty stderr.  The pipe is shrunk below the 12 KB of output, so
+    the program is still writing when the read end closes."""
+    fcntl = pytest.importorskip("fcntl")
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    with subprocess.Popen(
+            [sys.executable, "-m", "multireg.cli", "region", "L", "6",
+             "1,2,3,4,5", "--format", "json"],
+            stdout=w, stderr=subprocess.PIPE) as proc:
+        os.close(w)
+        with os.fdopen(r, "rb", buffering=0) as out:
+            assert out.readline() == b"{\n"
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert err == ""  # no traceback, no error report
+    assert code == 141

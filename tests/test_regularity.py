@@ -11,6 +11,7 @@ from multireg import (
     betti,
     betti_bound_L,
     betti_bound_Q,
+    check_regularity_by_definition,
     ci_regularity,
     classify_resolution,
     free_resolution,
@@ -18,6 +19,7 @@ from multireg import (
     intersect_submodules,
     irrelevant_ideal,
     is_d_regular,
+    local_cohomology_box,
     module_is_saturated_at_zero,
     multigraded_regularity,
     region_subset,
@@ -25,6 +27,7 @@ from multireg import (
     truncation_region,
     verify_ci_hypotheses,
 )
+from multireg.cohomology import required_corners
 from multireg.regularity import BoxBoundaryWarning, _truncation_verdict
 
 from .conftest import pp, saturated_corpus
@@ -111,6 +114,25 @@ def test_truncation_region_golden(hyperelliptic_module):
     assert L.minimal_generators == ((1, 5), (2, 2), (5, 1))
     assert Q.minimal_generators == ((1, 5), (2, 2), (4, 1))
     assert region_subset(L, Q)
+
+
+def test_overlong_frame_region_agrees_with_definition(
+        overlong_frame_module):
+    """This module's truncations have Schreyer frames longer than the
+    number of variables; the Q-region still matches the
+    local-cohomology definition at every degree of the box, checked on
+    criterion 7's cohomology box."""
+    M = overlong_frame_module
+    dbox = list(itertools.product(range(4), repeat=2))
+    R = truncation_region(M, "Q", (dbox[0], dbox[-1]))
+    assert R.minimal_generators == ((1, 3), (2, 1))
+    corners = {c for d in dbox for c in required_corners(M.ring, d)}
+    lo = tuple(min(c[j] for c in corners) for j in range(2))
+    hi = tuple(max(max(c[j] for c in corners), 5) for j in range(2))
+    table = local_cohomology_box(M, (lo, hi))
+    for d in dbox:
+        assert R.contains(d) == check_regularity_by_definition(
+            M, d, table=table), d
 
 
 def test_boundary_warning(P11):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 from multireg import (
     FreeModuleSpec,
@@ -13,13 +14,18 @@ from multireg import (
     is_minimal_complex,
     koszul_complex,
     minimalize,
+    parse_input,
     tensor_complexes,
+    truncate_module,
 )
 from multireg import modp
 from multireg.resolution import FreeComplex
 from multireg.ringcore import free_basis_of_degree
 
-from .conftest import SB_P12_BETTI, HYPERELLIPTIC_BETTI, pp
+from .conftest import (SB_P12_BETTI, HYPERELLIPTIC_BETTI, pp,
+                       random_saturated_quotient)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def _check_exactness(C, M, box, positive_only=True):
@@ -202,7 +208,6 @@ def test_resolution_exactness_module(not_linear_module):
 
 def test_resolution_length_bound(P11, P12):
     rng = random.Random(9)
-    from .conftest import random_saturated_quotient
     for ring in (P11, P12):
         for _ in range(3):
             M = random_saturated_quotient(ring, rng)
@@ -241,3 +246,38 @@ def test_betti_pretty_and_json(P12):
     js = t.to_json()
     assert js["schema"] == "multireg/betti/v1"
     assert {"index": 4, "degree": [2, 3], "multiplicity": 1} in js["entries"]
+
+
+def test_overlong_frame_truncation(overlong_frame_module):
+    """The frame of this truncation is one level longer than the number
+    of variables; the minimal resolution has length 2, with no leftover
+    homology at the frame's last levels."""
+    T = truncate_module(overlong_frame_module, (3, 3))
+    res = free_resolution(T)
+    assert max(i for i, _ in betti(res).data) == 2
+    _check_exactness(res, T, list(itertools.product(range(3, 8), repeat=2)))
+
+
+def _assert_no_gap(table, what):
+    indices = {i for (i, _), m in table.data.items() if m}
+    assert indices == set(range(max(indices) + 1)), (what, sorted(indices))
+
+
+def test_betti_tables_have_no_gaps(P11, P12):
+    """A minimal resolution has a nonzero term at every index up to its
+    length.  Checked on the truncations of the data files in small
+    boxes, and on a seeded corpus of saturated quotients."""
+    for path in sorted(DATA.glob("*.mr")):
+        M = parse_input(path.read_text()).module()
+        for d in itertools.product(range(2), repeat=M.ring.r):
+            T = truncate_module(M, d)
+            _assert_no_gap(betti(free_resolution(T)), (path.name, d))
+    rng = random.Random(31)
+    for ring in (P11, P12):
+        for _ in range(6):
+            M = random_saturated_quotient(ring, rng)
+            if M is None:
+                continue
+            for d in ((0, 0), (1, 1), (2, 1)):
+                _assert_no_gap(betti(free_resolution(truncate_module(M, d))),
+                               (ring.n, d))
