@@ -65,7 +65,6 @@ from .resolution import (
     is_minimal_complex,
     koszul_complex,
     minimalize,
-    tensor_complexes,
 )
 from .ringcore import (
     FreeModuleSpec,

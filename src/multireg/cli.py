@@ -16,7 +16,7 @@ import os
 import sys
 import warnings
 
-from .cohomology import local_cohomology_box
+from .cohomology import default_t_start, local_cohomology_box
 from .errors import MultiregError, ParseError
 from .groebner import ideal_matrix, irrelevant_ideal, saturate
 from .parser import parse_input
@@ -252,8 +252,14 @@ def cmd_cohomology(args):
     else:
         r = M.ring.r
         box = (tuple(-n - 1 for n in M.ring.n), (2,) * r)
-    table = local_cohomology_box(M, box, t_start=args.t_start,
-                                 t_cap=args.t_cap)
+    t_start = args.t_start
+    if t_start is None:
+        t_start = default_t_start(box)
+    if args.t_cap is not None and args.t_cap <= t_start:
+        given = "" if args.t_start is not None else " (its default here)"
+        raise ParseError(f"--t-cap {args.t_cap} must exceed --t-start "
+                         f"{t_start}{given}")
+    table = local_cohomology_box(M, box, t_start=t_start, t_cap=args.t_cap)
     _emit(args, table.to_json(), table.pretty)
     return 0
 

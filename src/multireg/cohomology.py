@@ -7,17 +7,22 @@ Kunneth formula, shifted one step up (the two bottom local cohomology
 groups of S vanish).
 
 For arbitrary presented modules the groups are computed as a direct
-limit of Ext against quotients by powers of the irrelevant ideal.  The
-powers used are the per-factor Frobenius-style powers generated by
-t-th powers of the variable products: they are cofinal with the
-ordinary powers, so the limit is the same, and their quotients have a
-tensor-of-Koszul resolution whose size does not grow with t.  The
-limit is detected empirically: the table is accepted once two
-consecutive values of t agree across the whole degree box, and the
-result carries the t used and a heuristic flag.
+limit of Ext against quotients by powers of the irrelevant ideal B.
+The powers used are the bracket powers B^[t], generated by the t-th
+powers of the variable products (Eisenbud, Mustata and Stillman,
+"Cohomology on toric varieties and local cohomology with monomial
+supports", JSC 29, 2000): they are cofinal with the ordinary powers,
+so the limit is the same, and S/B^[t] has a closed-form resolution
+(`bracket_power_complex`, one generator per set of variables meeting
+every block) whose ranks do not grow with t.  Each differential entry
+is a signed pure power x_w^t, so Hom into the module is assembled
+from one multiplication matrix per entry.  The limit is detected
+empirically: the table is accepted once two consecutive values of t
+agree across the whole degree box, and the result carries the t used
+and a heuristic flag.
 """
 
-from itertools import product as _iterproduct
+from itertools import combinations, product as _iterproduct
 from math import comb
 
 import numpy as np
@@ -25,7 +30,7 @@ import numpy as np
 from . import modp
 from .errors import BoxTooSmall, StabilizationNotReached
 from .pieces import GradedPieces
-from .resolution import FreeComplex, koszul_complex, tensor_complexes
+from .resolution import FreeComplex
 from .ringcore import (
     FreeModuleSpec,
     MatrixOverS,
@@ -80,43 +85,65 @@ def structure_sheaf_local_cohomology(ring, i, pdeg):
 
 
 def bracket_power_complex(ring, t):
-    """Free resolution of S modulo the ideal generated by the t-th
-    powers of the irrelevant generators: the tensor over factors of the
-    Koszul complexes on each block's t-th variable powers, with the
-    ring in homological degree zero."""
+    """Free resolution of S modulo the bracket power B^[t], the ideal
+    generated by the t-th powers of the irrelevant generators, with
+    the ring in homological degree zero.
+
+    Level j >= 1 has one generator e_s for each set s of r + j - 1
+    variables meeting every block B_i, in degree t*(|s & B_1|, ...,
+    |s & B_r|).  At level 1 (one variable per block) e_s maps to the
+    product of the x_w^t over w in s.  Above it
+
+        d(e_s) = sum of (-1)^(pos(w) - block(w)) * x_w^t * e_(s - w)
+
+    over the w in s whose block keeps another variable of s, with
+    pos(w) the position of w in sorted s and block(w) its 0-based
+    factor.  Generators of a level are ordered by (-|s & B_r|, ...,
+    -|s & B_2|) and then by s.
+
+    This is a resolution: the Koszul complex on (x_w^t : w in B_i), a
+    regular sequence, with its level zero dropped resolves the ideal
+    I_i they generate.  The blocks share no variables, so the tensor
+    product of these resolves I_1 (x) ... (x) I_r = I_1 ... I_r = B^[t],
+    and level 1 maps it onto B^[t] inside S.  A term of the tensor
+    product is one nonempty subset of each block, which is s; the
+    sign is the Koszul sign (-1)^(position of w in s & B_i) times
+    (-1)^(|s & B_l| - 1) for each earlier block l.
+    """
     if t < 1:
         raise ValueError("power must be >= 1")
-    factor_parts = []
-    for i in range(ring.r):
-        powers = [Poly.monomial(
-            ring, tuple(t if v == w else 0 for v in range(ring.nvars)))
-            for w in ring.block(i)]
-        K = koszul_complex(ring, powers)
-        factor_parts.append(FreeComplex(K.terms[1:], K.differentials[1:],
-                                        check=False))
-    tensor = factor_parts[0]
-    for part in factor_parts[1:]:
-        tensor = tensor_complexes(tensor, part)
-    S0 = FreeModuleSpec(ring, (zero_degree(ring.r),))
-    first = MatrixOverS(tensor.terms[0], S0,
-                        _augmentation_columns(ring, t), check=False)
-    return FreeComplex([S0] + tensor.terms, [first] + tensor.differentials,
-                       check=False)
-
-
-def _augmentation_columns(ring, t):
-    """Columns sending each tensor-level-zero generator (one choice of
-    variable per block) to its product of t-th powers in the ring.
-    The tensor construction enumerates generators in the same
-    block-major order as this product."""
-    index_lists = [list(ring.block(i)) for i in range(ring.r)]
-    cols = []
-    for combo in _iterproduct(*index_lists):
-        m = [0] * ring.nvars
-        for v in combo:
-            m[v] += t
-        cols.append(Vector(((term_key(0, tuple(m)), 1),), _canonical=True))
-    return cols
+    p = ring.p
+    power = [tuple(t if v == w else 0 for v in range(ring.nvars))
+             for w in range(ring.nvars)]
+    choices = [[T for k in range(1, len(ring.block(i)) + 1)
+                for T in combinations(ring.block(i), k)]
+               for i in range(ring.r)]
+    levels = [[] for _ in range(ring.nvars - ring.r + 1)]
+    for parts in _iterproduct(*choices):
+        sizes = tuple(len(T) for T in parts)
+        levels[sum(sizes) - ring.r].append(
+            (tuple(-k for k in reversed(sizes)), sum(parts, ()), sizes))
+    terms = [FreeModuleSpec(ring, (zero_degree(ring.r),))]
+    diffs = []
+    for level in levels:
+        level.sort()
+        cols = []
+        for _, s, sizes in level:
+            if len(s) == ring.r:
+                col = ((term_key(0, tuple(t if v in s else 0
+                                          for v in range(ring.nvars))), 1),)
+            else:
+                col = tuple(
+                    (term_key(index[s[:pos] + s[pos + 1:]], power[w]),
+                     1 if (pos - ring.var_factor[w]) % 2 == 0 else p - 1)
+                    for pos, w in enumerate(s)
+                    if sizes[ring.var_factor[w]] > 1)
+            cols.append(Vector(col, _canonical=True))
+        terms.append(FreeModuleSpec(ring, [tuple(t * k for k in sizes)
+                                           for _, _, sizes in level]))
+        diffs.append(MatrixOverS(terms[-1], terms[-2], cols, check=False))
+        index = {s: i for i, (_, s, _) in enumerate(level)}
+    return FreeComplex(terms, diffs, check=False)
 
 
 class CohomologyTable:
@@ -198,14 +225,12 @@ def _ext_dims_at(pieces, complex_, pdeg, max_index):
         row_off = np.concatenate([[0], np.cumsum(rows_sizes)]).astype(int)
         col_off = np.concatenate([[0], np.cumsum(cols_sizes)]).astype(int)
         for l, col in enumerate(diff.columns):
-            # entry (k, l) of the differential multiplies piece at
-            # F_j twist k into piece at F_{j+1} twist l
-            for k in col.components():
-                f = col.component_poly(ring, k)
-                if not f:
-                    continue
-                blk = pieces.mult_matrix(f, deg_add(pdeg,
-                                                    diff.target.twists[k]))
+            # a term c*m of entry (k, l) of the differential multiplies
+            # the piece at F_j twist k into the piece at F_{j+1} twist l
+            for (_, m, negc), c in col.terms:
+                k = -negc
+                blk = pieces.mult_matrix(Poly.monomial(ring, m, c),
+                                         deg_add(pdeg, diff.target.twists[k]))
                 A[row_off[l]:row_off[l + 1], col_off[k]:col_off[k + 1]] = \
                     (A[row_off[l]:row_off[l + 1],
                        col_off[k]:col_off[k + 1]] + blk) % p
@@ -219,17 +244,23 @@ def _ext_dims_at(pieces, complex_, pdeg, max_index):
     return out
 
 
+def default_t_start(box):
+    """First power the oracle tries over a box: 2 plus the depth of
+    its most negative coordinate, which is what the direct limit is
+    sensitive to."""
+    return 2 + max(0, -min(box[0]))
+
+
 def local_cohomology_box(M, box, t_start=None, t_cap=None):
     """Local cohomology dimensions of a presented module over a finite
     degree box, via the Ext direct limit.
 
-    Starting from ``t_start`` (default driven by the box: 2 plus the
-    depth of its most negative coordinate, which is what the direct
-    limit is sensitive to), the Ext dimensions against the
-    bracket power at t are computed for each degree in the box and
-    each index up to dim X + 1; the first t whose table equals the
-    table at t + 1 is accepted.  Raises StabilizationNotReached past
-    the cap (default t_start + 6).
+    Starting from ``t_start`` (default ``default_t_start(box)``), the
+    Ext dimensions against the bracket power at t are computed for
+    each degree in the box and each index up to dim X + 1; the first t
+    whose table equals the table at t + 1 is accepted.  Raises
+    StabilizationNotReached past the cap (default t_start + 6), and
+    ValueError up front when the cap leaves no two powers to compare.
     """
     ring = M.ring
     lo, hi = tuple(box[0]), tuple(box[1])
@@ -238,9 +269,12 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
     if not deg_leq(lo, hi):
         raise ValueError("box lower corner must be <= upper corner")
     if t_start is None:
-        t_start = 2 + max(0, -min(lo))
+        t_start = default_t_start((lo, hi))
     if t_cap is None:
         t_cap = t_start + 6
+    if t_cap <= t_start:
+        raise ValueError(f"t_cap {t_cap} must exceed t_start {t_start}: "
+                         "stabilization compares consecutive powers")
     max_index = sum(ring.n) + 1
     pieces = GradedPieces.of(M)
     points = _box_points((lo, hi))

@@ -34,6 +34,7 @@ from .ringcore import (
     FreeModuleSpec,
     MatrixOverS,
     Poly,
+    Presentation,
     Vector,
     deg_add,
     deg_sub,
@@ -47,41 +48,7 @@ from .ringcore import (
     vec_add,
     vec_mono_mul,
     vec_scale,
-    zero_degree,
 )
-
-
-class ModuleOrder:
-    """Term order on a free module.
-
-    The base order on ring monomials compares total degree first, then
-    exponents lexicographically; between components the term wins
-    first (term-over-position) and the lower component index breaks
-    exact ties.  Optionally the order can be induced Schreyer-style
-    from the lead terms of a parent basis: a term m*e_k is then ranked
-    by the parent position of m * lead(g_k).
-    """
-
-    __slots__ = ("schreyer_leads", "parent")
-
-    def __init__(self, schreyer_leads=None, parent=None):
-        self.schreyer_leads = schreyer_leads
-        self.parent = parent
-
-    def key(self, comp, mono):
-        if self.schreyer_leads is None:
-            return term_key(comp, mono)
-        pc, pm = self.schreyer_leads[comp]
-        lifted = tuple(a + b for a, b in zip(pm, mono))
-        parent = self.parent if self.parent is not None else ModuleOrder()
-        return (parent.key(pc, lifted), -comp)
-
-    def __repr__(self):
-        kind = "schreyer" if self.schreyer_leads is not None else "glex-top"
-        return f"ModuleOrder({kind})"
-
-
-STANDARD_ORDER = ModuleOrder()
 
 
 class GroebnerBasis:
@@ -347,21 +314,10 @@ def syzygies(M):
     return MatrixOverS(out_src, src, syz, check=False)
 
 
-class _Rev:
-    """Max-heap adapter: reverses the comparison of a key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return self.key > other.key
-
-
-def _reduce_to_zero_in_order(start, tails, lead_lookup, order, p):
-    """Reduce an element to zero against monic basis elements in an
-    arbitrary module order, returning the quotients used.
+def _reduce_to_zero_in_order(start, tails, lead_lookup, lifts, p):
+    """Reduce an element to zero against monic basis elements in the
+    Schreyer order given by ``lifts`` (see schreyer_frame), returning
+    the quotients used.
 
     ``start`` is a list of (comp, mono, coeff); basis element i has a
     unit lead recorded in ``lead_lookup`` and remaining terms
@@ -375,7 +331,9 @@ def _reduce_to_zero_in_order(start, tails, lead_lookup, order, p):
         cur = work.get(cm)
         if cur is None:
             work[cm] = coeff % p
-            heapq.heappush(heap, (_Rev(order.key(comp, mono)), comp, mono))
+            bottom, neg_lift, chain = lifts[comp]
+            neg = tuple(a - e for a, e in zip(neg_lift, mono))
+            heapq.heappush(heap, ((sum(neg), neg, bottom, chain), cm))
         else:
             work[cm] = (cur + coeff) % p
 
@@ -383,19 +341,14 @@ def _reduce_to_zero_in_order(start, tails, lead_lookup, order, p):
         push(comp, mono, coeff)
     quotients = []
     while heap:
-        _, comp, mono = heapq.heappop(heap)
+        _, (comp, mono) = heapq.heappop(heap)
         c = work.pop((comp, mono), 0)
         if not c:
             continue
-        idx = None
-        for lm, i in lead_lookup.get(comp, ()):
-            if mono_divides(lm, mono):
-                idx = i
-                lmono = lm
-                break
+        idx, lm = _find_divisor(lead_lookup, comp, mono)
         if idx is None:
             raise ValueError("element does not reduce to zero")
-        m = mono_div(mono, lmono)
+        m = mono_div(mono, lm)
         quotients.append((idx, m, c))
         for c2, m2, coeff2 in tails[idx]:
             push(c2, mono_mul(m2, m), (p - c) * coeff2)
@@ -415,6 +368,14 @@ def schreyer_frame(relations):
     the free module on one level's elements onto the kernel of the
     previous one), up to the first level with no pair left.
 
+    The induced orders are flat.  Following leads down from a level-k
+    generator e_i reaches a bottom component b of the target with a
+    lifted lead monomial L, through the generator ids chain = (i_1,
+    ..., i_k = i), one per level.  With lift[i] = (b, L, chain) the
+    order induced on level k ranks m*e_i by (total degree of L*m, L*m,
+    -b, -i_1, ..., -i_k): the target's standard order, ties broken by
+    the chain.  Reduction heaps store this key negated.
+
     The frame is not minimal, so Hilbert's bound on the length of a
     minimal resolution does not cap it (it can be one level longer
     than the number of variables); the loop ends for another reason.
@@ -433,8 +394,10 @@ def schreyer_frame(relations):
     gb = buchberger(relations.columns, relations.target)
     if not gb.elements:
         return []
-    order = STANDARD_ORDER
     target = relations.target
+    # lifts of the components the current level reduces in, with the
+    # lifted monomial negated; the target's are its own components
+    lifts = [(c, (0,) * ring.nvars, ()) for c in range(target.rank)]
     leads = []
     tails = []
     degrees = []
@@ -479,7 +442,7 @@ def schreyer_frame(relations):
             start += [(c2, mono_mul(m2, mv_quot), (p - 1) * coeff2 % p)
                       for c2, m2, coeff2 in tails[v]]
             quotients = _reduce_to_zero_in_order(start, tails, lead_lookup,
-                                                 order, p)
+                                                 lifts, p)
             tail = [(v, mv_quot, p - 1)]
             for idx, m, c in quotients:
                 tail.append((idx, m, (p - c) % p))
@@ -492,7 +455,8 @@ def schreyer_frame(relations):
             new_cols.append(Vector(terms))
         mats.append(MatrixOverS(FreeModuleSpec(ring, new_degs), src,
                                 new_cols, check=False))
-        order = ModuleOrder(schreyer_leads=leads, parent=order)
+        lifts = [(lifts[c][0], tuple(a - e for a, e in zip(lifts[c][1], m)),
+                  lifts[c][2] + (i,)) for i, (c, m) in enumerate(leads)]
         leads, tails = new_leads, new_tails
     return mats
 
@@ -574,16 +538,9 @@ def intersect_submodules(N1, N2):
 
 
 def ideal_matrix(ring, gens):
-    """Package homogeneous polynomials as a submodule of S."""
-    F = FreeModuleSpec(ring, (zero_degree(ring.r),))
-    cols = []
-    twists = []
-    for g in gens:
-        if not g:
-            continue
-        cols.append(Vector.from_components([g]))
-        twists.append(g.degree())
-    return MatrixOverS(FreeModuleSpec(ring, twists), F, cols)
+    """Package homogeneous polynomials as a submodule of S: the
+    relations of S/I."""
+    return Presentation.quotient_by_ideal(ring, gens).relations
 
 
 def irrelevant_ideal(ring):

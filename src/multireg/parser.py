@@ -93,24 +93,18 @@ def _parse_int(tokens):
     return sign * int(tok)
 
 
-def _parse_int_list(tokens):
-    tokens.expect("[")
-    out = [_parse_int(tokens)]
-    while tokens.peek() == ",":
+def _parse_list(tokens, item, brackets=None, sep=","):
+    """One or more items separated by ``sep``, optionally enclosed in
+    a pair of bracket tokens such as "[]"."""
+    if brackets:
+        tokens.expect(brackets[0])
+    out = [item(tokens)]
+    while tokens.peek() == sep:
         tokens.next()
-        out.append(_parse_int(tokens))
-    tokens.expect("]")
+        out.append(item(tokens))
+    if brackets:
+        tokens.expect(brackets[1])
     return out
-
-
-def _parse_degree_tuple(tokens):
-    tokens.expect("(")
-    out = [_parse_int(tokens)]
-    while tokens.peek() == ",":
-        tokens.next()
-        out.append(_parse_int(tokens))
-    tokens.expect(")")
-    return tuple(out)
 
 
 # polynomial grammar: expr := term (('+'|'-') term)*;
@@ -204,7 +198,7 @@ def parse_input(text, prime_override=None):
         if what == "p":
             p = _parse_int(tokens)
         else:
-            n = _parse_int_list(tokens)
+            n = _parse_list(tokens, _parse_int, "[]")
     if n is None:
         tokens.error("ring line needs n=[...]")
     if prime_override is not None:
@@ -219,11 +213,12 @@ def parse_input(text, prime_override=None):
     except ValueError as exc:
         raise ParseError(str(exc), line, col) from exc
     tok, line, col = tokens.next()
+
+    def poly(tk):
+        return _parse_poly(tk, ring)
+
     if tok == "ideal":
-        gens = [_parse_poly(tokens, ring)]
-        while tokens.peek() == ";":
-            tokens.next()
-            gens.append(_parse_poly(tokens, ring))
+        gens = _parse_list(tokens, poly, sep=";")
         if tokens.peek() is not None:
             tokens.error("trailing input after ideal")
         for g in gens:
@@ -238,33 +233,17 @@ def parse_input(text, prime_override=None):
         if tok2 != "rows":
             raise ParseError("module needs rows=[(..),..]", line2, col2)
         tokens.expect("=")
-        tokens.expect("[")
-        rows = [_parse_degree_tuple(tokens)]
-        while tokens.peek() == ",":
-            tokens.next()
-            rows.append(_parse_degree_tuple(tokens))
-        tokens.expect("]")
+        rows = _parse_list(
+            tokens, lambda tk: tuple(_parse_list(tk, _parse_int, "()")),
+            "[]")
         for tw in rows:
             if len(tw) != ring.r:
                 tokens.error(f"row degree {tw} has wrong rank")
         tok3, line3, col3 = tokens.next()
         if tok3 != "matrix":
             raise ParseError("module needs matrix [[..],..]", line3, col3)
-        tokens.expect("[")
-        entries = []
-        while True:
-            tokens.expect("[")
-            row = [_parse_poly(tokens, ring)]
-            while tokens.peek() == ",":
-                tokens.next()
-                row.append(_parse_poly(tokens, ring))
-            tokens.expect("]")
-            entries.append(row)
-            if tokens.peek() == ",":
-                tokens.next()
-                continue
-            break
-        tokens.expect("]")
+        entries = _parse_list(tokens, lambda tk: _parse_list(tk, poly, "[]"),
+                              "[]")
         if tokens.peek() is not None:
             tokens.error("trailing input after matrix")
         if len(entries) != len(rows):

@@ -16,7 +16,6 @@ from .ringcore import (
     FreeModuleSpec,
     MatrixOverS,
     Vector,
-    deg_add,
     deg_total,
     term_key,
     vec_add,
@@ -225,7 +224,7 @@ def betti(C):
 
 
 # ---------------------------------------------------------------------------
-# structured complexes used elsewhere
+# Koszul complexes
 
 def koszul_complex(ring, elements):
     """Koszul complex on homogeneous ring elements: terms are exterior
@@ -256,47 +255,4 @@ def koszul_complex(ring, elements):
                     entries.append((term_key(row, m), cc))
             cols.append(Vector(entries))
         diffs.append(MatrixOverS(spec, levels[k - 1][1], cols, check=False))
-    return FreeComplex(terms, diffs, check=False)
-
-
-def tensor_complexes(A, B):
-    """Tensor product of two free complexes over S, with the usual
-    sign (-1)^a on the second differential."""
-    ring = A.ring
-    p = ring.p
-    la, lb = len(A.terms), len(B.terms)
-    index = {}
-    terms = []
-    for k in range(la + lb - 1):
-        twists = []
-        for a in range(max(0, k - lb + 1), min(k, la - 1) + 1):
-            b = k - a
-            for i in range(A.terms[a].rank):
-                for j in range(B.terms[b].rank):
-                    index[(a, i, b, j)] = (k, len(twists))
-                    twists.append(deg_add(A.terms[a].twists[i],
-                                          B.terms[b].twists[j]))
-        terms.append(FreeModuleSpec(ring, twists))
-    diffs = []
-    for k in range(1, la + lb - 1):
-        cols = [None] * terms[k].rank
-        for a in range(max(0, k - lb + 1), min(k, la - 1) + 1):
-            b = k - a
-            for i in range(A.terms[a].rank):
-                for j in range(B.terms[b].rank):
-                    _, pos = index[(a, i, b, j)]
-                    entries = []
-                    if a > 0:
-                        col = A.differentials[a - 1].columns[i]
-                        for (tot, m, negc), c in col.terms:
-                            _, row = index[(a - 1, -negc, b, j)]
-                            entries.append((term_key(row, m), c))
-                    if b > 0:
-                        sign = 1 if a % 2 == 0 else p - 1
-                        col = B.differentials[b - 1].columns[j]
-                        for (tot, m, negc), c in col.terms:
-                            _, row = index[(a, i, b - 1, -negc)]
-                            entries.append((term_key(row, m), (c * sign) % p))
-                    cols[pos] = Vector(entries)
-        diffs.append(MatrixOverS(terms[k], terms[k - 1], cols, check=False))
     return FreeComplex(terms, diffs, check=False)

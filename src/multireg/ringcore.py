@@ -537,10 +537,6 @@ class Vector:
         (tot, m, negc), c = self.terms[0]
         return (-negc, m), c
 
-    def components(self):
-        """Set of component indices with a nonzero entry."""
-        return {-k[2] for k, _ in self.terms}
-
     def component_poly(self, ring, comp):
         return Poly(ring, tuple((k[1], c) for k, c in self.terms
                                 if -k[2] == comp))

@@ -81,8 +81,9 @@ def _bracket_quotient_dim(ring, t, d):
     return count
 
 
-def test_bracket_complex_is_resolution(P11, P12):
-    for ring, t in [(P11, 1), (P11, 3), (P12, 2)]:
+def test_bracket_complex_is_resolution(P11, P12, P22, P111):
+    for ring, t in [(P11, 1), (P11, 3), (P12, 2), (P22, 2), (P111, 1),
+                    (P111, 2)]:
         C = bracket_power_complex(ring, t)
         for i in range(len(C.differentials) - 1):
             assert C.differentials[i].compose(
@@ -155,6 +156,23 @@ def test_stabilization_not_reached():
         # top cohomology this deep needs t around 5; consecutive small
         # t values disagree, so the capped run must report failure
         local_cohomology_box(S, ((-6, -6), (-6, -6)), t_start=2, t_cap=3)
+
+
+def test_oracle_rejects_cap_not_above_start(P11, monkeypatch):
+    """A cap at or below the first power leaves no two tables to
+    compare, so the oracle refuses it before building any complex."""
+    import multireg.cohomology as coh
+
+    def no_complex(ring, t):
+        raise AssertionError("built a bracket power complex")
+
+    monkeypatch.setattr(coh, "bracket_power_complex", no_complex)
+    S = Presentation.free(P11)
+    # the box's default first power is 4
+    for kw in ({"t_start": 6, "t_cap": 3}, {"t_start": 3, "t_cap": 3},
+               {"t_cap": 4}):
+        with pytest.raises(ValueError, match="t_cap"):
+            local_cohomology_box(S, ((-2, -2), (0, 0)), **kw)
 
 
 def test_required_corners_and_box_too_small(P11):

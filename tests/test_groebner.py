@@ -27,6 +27,7 @@ from multireg import (
     saturate,
     submodules_equal,
     syzygies,
+    truncate_module,
 )
 from multireg import groebner, modp
 from multireg.groebner import schreyer_frame
@@ -338,3 +339,14 @@ def test_schreyer_frame_is_resolution(P11):
             chi += sign * len(free_basis_of_degree(m.source, d))
             sign = -sign
         assert chi == hilbert_function(M, d)
+
+
+def test_schreyer_frame_level_ranks(hyperelliptic_module,
+                                    overlong_frame_module):
+    """Which pairs a level keeps depends on the induced orders, so the
+    per-level ranks pin them, the chain of generator ids in each term
+    key included."""
+    for M, d, ranks in [(hyperelliptic_module, (2, 1), [21, 15, 3]),
+                        (overlong_frame_module, (3, 3), [22, 30, 20, 7, 1])]:
+        frame = schreyer_frame(truncate_module(M, d).relations)
+        assert [m.source.rank for m in frame] == ranks, d

@@ -227,6 +227,9 @@ BAD_DEGREE_ARGUMENTS = [
     (["regularity", "--box", "3,3:0,0"], "--box"),
     (["linear-truncations", "--box", "0:3"], "--box"),
     (["cohomology", "--t-start", "0"], "--t-start"),
+    (["cohomology", "--t-start", "6", "--t-cap", "3"], "--t-cap"),
+    (["cohomology", "--t-start", "3", "--t-cap", "3"], "--t-cap"),
+    (["cohomology", "--t-cap", "2"], "--t-start"),
     (["region", "L", "-1", "1,1"], "level"),
     (["ci-regularity", "--degrees", "1,1", "2"], "--degrees"),
     (["ci-regularity", "--degrees", "1,0"], "--degrees"),
@@ -237,7 +240,8 @@ BAD_DEGREE_ARGUMENTS = [
                          ids=[" ".join(a) for a, _ in BAD_DEGREE_ARGUMENTS])
 def test_cli_rejects_degree_arguments(argv, names, capsys):
     # a degree or box of the wrong rank, a reversed box, a negative
-    # level or a power below 1 is a parse error naming the argument
+    # level, a power below 1 or a cap not above the first power is a
+    # parse error naming the argument
     if argv[0] not in ("region", "ci-regularity"):
         argv = argv[:1] + [str(DATA / "not_linear.mr")] + argv[1:]
     code, out, err = _run(argv, capsys)

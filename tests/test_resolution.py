@@ -15,7 +15,6 @@ from multireg import (
     koszul_complex,
     minimalize,
     parse_input,
-    tensor_complexes,
     truncate_module,
 )
 from multireg import modp
@@ -224,18 +223,6 @@ def test_betti_input_order_invariance(P11):
         M = Presentation.quotient_by_ideal(P11, list(perm))
         tables.add(tuple(sorted(betti(free_resolution(M)).data.items())))
     assert len(tables) == 1
-
-
-def test_tensor_complexes_koszul(P11):
-    """Tensor of the two one-variable Koszul complexes is the
-    two-variable Koszul complex."""
-    A = koszul_complex(P11, [pp(P11, "x0")])
-    B = koszul_complex(P11, [pp(P11, "y0")])
-    T = tensor_complexes(A, B)
-    for i in range(len(T.differentials) - 1):
-        assert T.differentials[i].compose(T.differentials[i + 1]).is_zero()
-    K = koszul_complex(P11, [pp(P11, "x0"), pp(P11, "y0")])
-    assert betti(T).data == betti(K).data
 
 
 def test_betti_pretty_and_json(P12):
