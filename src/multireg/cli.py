@@ -13,6 +13,7 @@ it early.
 import argparse
 import json
 import os
+import re
 import sys
 import warnings
 
@@ -75,13 +76,6 @@ def _emit(args, payload, text_renderer):
         print(text_renderer())
 
 
-def _region_payload(region, warnings_seen=()):
-    data = region.to_json()
-    if warnings_seen:
-        data["warnings"] = [str(w.message) for w in warnings_seen]
-    return data
-
-
 def _render_region(args, region, warnings_seen=()):
     if args.format == "svg":
         svg = staircase_svg(region)
@@ -93,8 +87,10 @@ def _render_region(args, region, warnings_seen=()):
             print(svg)
         return
     if args.format == "json":
-        print(json.dumps(_region_payload(region, warnings_seen), indent=2,
-                         sort_keys=True))
+        data = region.to_json()
+        if warnings_seen:
+            data["warnings"] = [str(w.message) for w in warnings_seen]
+        print(json.dumps(data, indent=2, sort_keys=True))
         return
     gens = ", ".join(str(list(g)) for g in region.minimal_generators)
     print(f"minimal generators: {gens if gens else '(empty region)'}")
@@ -168,23 +164,14 @@ def _default_box(M):
     return (0,) * r, hi
 
 
-def cmd_regularity(args):
+def cmd_region_search(args):
+    """regularity and linear-truncations: a truncation-region search
+    over the box, by the subcommand's ``search(args, M, box)``."""
     job, M = _module_of(args)
     box = _parse_box(args.box, job.ring.r) if args.box else _default_box(M)
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always", BoxBoundaryWarning)
-        region = multigraded_regularity(M, box)
-    _render_region(args, region, seen)
-    return 0
-
-
-def cmd_linear_truncations(args):
-    job, M = _module_of(args)
-    box = _parse_box(args.box, job.ring.r) if args.box else _default_box(M)
-    mode = args.mode or "L"
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always", BoxBoundaryWarning)
-        region = truncation_region(M, mode, box)
+        region = args.search(args, M, box)
     _render_region(args, region, seen)
     return 0
 
@@ -223,7 +210,13 @@ def cmd_ci_regularity(args):
     if job.kind != "ideal":
         raise MultiregError("ci-regularity needs an ideal input")
     gens = job.ideal_gens
-    if not verify_ci_hypotheses(gens):
+    try:
+        ok = verify_ci_hypotheses(gens)
+    except ValueError as exc:
+        # a zero form or one of non-positive degree: the closed form's
+        # precondition fails, as for torsion below
+        raise MultiregError(str(exc)) from None
+    if not ok:
         raise MultiregError(
             "generators are not a saturated complete intersection; "
             "the closed form does not apply")
@@ -323,7 +316,8 @@ def build_parser():
                        help="minimal elements of the regularity region")
     _add_common(s)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
-    s.set_defaults(fn=cmd_regularity)
+    s.set_defaults(fn=cmd_region_search,
+                   search=lambda args, M, box: multigraded_regularity(M, box))
 
     s = sub.add_parser("linear-truncations",
                        help="degrees with linear (or quasilinear) "
@@ -331,7 +325,9 @@ def build_parser():
     _add_common(s)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
     s.add_argument("--mode", choices=("L", "Q"), default="L")
-    s.set_defaults(fn=cmd_linear_truncations)
+    s.set_defaults(fn=cmd_region_search,
+                   search=lambda args, M, box:
+                   truncation_region(M, args.mode, box))
 
     s = sub.add_parser("betti-bounds",
                        help="inner bounds for the truncation regions "
@@ -371,9 +367,27 @@ def build_parser():
     return ap
 
 
+# options whose value is a degree or a box, which may start with '-'
+_DEGREE_OPTIONS = ("--box", "--truncate-at")
+
+
+def _attach_degree_values(argv):
+    """Write ``--box -2,-2:2,2`` as ``--box=-2,-2:2,2``: argparse takes
+    a value that starts with '-' and is not a plain number for an
+    option, and stops with 'expected one argument'."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _DEGREE_OPTIONS and re.match(r"-\d", tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_degree_values(
+        sys.argv[1:] if argv is None else argv))
     if args.command == "ci-regularity" and not args.degrees \
             and not args.file:
         ap.error("ci-regularity needs a file or --degrees")

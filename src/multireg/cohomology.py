@@ -325,17 +325,18 @@ def required_corners(ring, d):
     return sorted(set(corners))
 
 
-def check_regularity_by_definition(M, d, box=None, table=None,
-                                   t_start=None, t_cap=None):
+def check_regularity_by_definition(M, d, table=None):
     """The definition-side regularity test: vanishing of the bottom
     local cohomology on the shifted orthants and of each higher group
     on its staircase region, checked over a finite box.
 
-    The box must contain every required corner (BoxTooSmall
-    otherwise); by default it spans the corners and extends one step
+    The box is that of ``table``, a ``local_cohomology_box`` of M,
+    which may be passed to amortize sweeps over many d or to choose
+    another box or other powers.  Without one, a table is built over
+    the default box: it spans the required corners and extends one step
     past d + n above, where the remaining vanishing is Serre-style in
-    all the examples this library targets.  A precomputed table for
-    the same box may be passed to amortize sweeps over many d.
+    all the examples this library targets.  The box must contain every
+    required corner (BoxTooSmall otherwise).
     """
     ring = M.ring
     d = tuple(d)
@@ -343,23 +344,18 @@ def check_regularity_by_definition(M, d, box=None, table=None,
         raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
                          f"rank {ring.r}")
     corners = required_corners(ring, d)
-    if box is None and table is not None:
-        box = table.box
-    if box is None:
+    if table is None:
         lo = tuple(min(c[j] for c in corners) for j in range(ring.r))
         hi_corner = tuple(max(c[j] for c in corners) for j in range(ring.r))
         hi = deg_max(hi_corner,
                      deg_add(deg_add(d, tuple(ring.n)), (1,) * ring.r))
-        box = (lo, hi)
-    lo, hi = tuple(box[0]), tuple(box[1])
+        table = local_cohomology_box(M, (lo, hi))
+    lo, hi = table.box
     missing = [c for c in corners if not (deg_leq(lo, c) and deg_leq(c, hi))]
     if missing:
         raise BoxTooSmall(
             f"box {lo}..{hi} misses required corners {missing[:4]}",
             missing=missing)
-    if table is None:
-        table = local_cohomology_box(M, (lo, hi), t_start=t_start,
-                                     t_cap=t_cap)
     points = _box_points((lo, hi))
     # bottom group: vanishing on the unit-shifted orthants
     for j in range(ring.r):

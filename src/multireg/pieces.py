@@ -49,6 +49,8 @@ class GradedPieces:
         self._basis = {}
         self._index = {}
         self._mult = {}
+        # regularity.module_is_saturated_at_zero's verdict, once known
+        self.saturated_at_zero = None
 
     def basis(self, d):
         """Standard-monomial basis of the degree-d piece: pairs

@@ -158,23 +158,29 @@ def betti_bound_Q(B):
     return _betti_bound(B, region_Q)
 
 
-def staircase_text(region, box_lo=None, box_hi=None):
-    """ASCII staircase of a rank-2 region: rows are the second
-    coordinate (descending), '#' marks membership, 'o' the minimal
-    generators."""
+def _plot_box(region):
+    """Lower and upper corner of a staircase plot: one step below the
+    minimal generators and three above them."""
     if region.rank != 2:
         raise ValueError("staircase plots need rank 2")
     gens = region.minimal_generators
+    lo = tuple(min((g[j] for g in gens), default=0) - 1 for j in range(2))
+    hi = tuple(max((g[j] for g in gens), default=0) + 3 for j in range(2))
+    return lo, hi
+
+
+def staircase_text(region):
+    """ASCII staircase of a rank-2 region over its plot box: rows are
+    the second coordinate (descending), '#' marks membership, 'o' the
+    minimal generators."""
+    lo, hi = _plot_box(region)
+    gens = region.minimal_generators
     if not gens:
         return "(empty region)"
-    if box_lo is None:
-        box_lo = (min(g[0] for g in gens) - 1, min(g[1] for g in gens) - 1)
-    if box_hi is None:
-        box_hi = (max(g[0] for g in gens) + 3, max(g[1] for g in gens) + 3)
     lines = []
-    for y in range(box_hi[1], box_lo[1] - 1, -1):
+    for y in range(hi[1], lo[1] - 1, -1):
         row = []
-        for x in range(box_lo[0], box_hi[0] + 1):
+        for x in range(lo[0], hi[0] + 1):
             if (x, y) in gens:
                 row.append("o")
             elif region.contains((x, y)):
@@ -182,27 +188,17 @@ def staircase_text(region, box_lo=None, box_hi=None):
             else:
                 row.append(".")
         lines.append(f"{y:>4} " + " ".join(row))
-    footer = "     " + " ".join(f"{x%10}" for x in range(box_lo[0],
-                                                         box_hi[0] + 1))
+    footer = "     " + " ".join(f"{x%10}" for x in range(lo[0], hi[0] + 1))
     lines.append(footer)
     return "\n".join(lines)
 
 
-def staircase_svg(region, box_lo=None, box_hi=None, cell=24):
-    """Minimal SVG rendering of a rank-2 staircase region."""
-    if region.rank != 2:
-        raise ValueError("staircase plots need rank 2")
+def staircase_svg(region):
+    """Minimal SVG rendering of a rank-2 staircase region over its plot
+    box, 24 pixels per degree."""
+    lo, hi = _plot_box(region)
     gens = region.minimal_generators
-    if box_lo is None:
-        lo = (min((g[0] for g in gens), default=0) - 1,
-              min((g[1] for g in gens), default=0) - 1)
-    else:
-        lo = box_lo
-    if box_hi is None:
-        hi = (max((g[0] for g in gens), default=0) + 3,
-              max((g[1] for g in gens), default=0) + 3)
-    else:
-        hi = box_hi
+    cell = 24
     w = (hi[0] - lo[0] + 1) * cell
     h = (hi[1] - lo[1] + 1) * cell
 

@@ -16,12 +16,8 @@ import itertools
 import warnings
 
 from .errors import NotSaturatedError
-from .groebner import (
-    buchberger,
-    colon_by_ideal,
-    irrelevant_ideal,
-    quotient_ring_dimension,
-)
+from .groebner import colon_by_ideal, irrelevant_ideal, quotient_ring_dimension
+from .pieces import GradedPieces
 from .regions import Region, region_L, region_Q
 from .resolution import betti, free_resolution
 from .ringcore import Presentation, deg_leq, deg_neg
@@ -100,15 +96,17 @@ def classify_resolution(B):
 
 def module_is_saturated_at_zero(M):
     """True when the relation submodule is its own colon by the
-    irrelevant ideal, i.e. M has no irrelevant torsion at all."""
-    B = irrelevant_ideal(M.ring)
-    rel = buchberger(M.relations.columns, M.F0).as_matrix() \
-        if M.relations.source.rank else M.relations
-    if not rel.source.rank:
-        # free module: nothing is torsion
-        return True
-    cln = colon_by_ideal(rel, B)
-    return cln.columns == rel.columns
+    irrelevant ideal, i.e. M has no irrelevant torsion at all.
+
+    The colon is taken of the reduced Groebner basis that
+    ``GradedPieces.of(M)`` shares, and the verdict is kept with it, so
+    one presentation runs one colon however often it is asked."""
+    pieces = GradedPieces.of(M)
+    if pieces.saturated_at_zero is None:
+        rel = pieces.gb.as_matrix()
+        cln = colon_by_ideal(rel, irrelevant_ideal(M.ring))
+        pieces.saturated_at_zero = cln.columns == rel.columns
+    return pieces.saturated_at_zero
 
 
 def is_d_regular(M, d):
@@ -128,18 +126,8 @@ def is_d_regular(M, d):
     return _truncation_verdict(M, d, "Q")
 
 
-def _truncation_betti(M, d, cache=None):
-    if cache is not None and d in cache:
-        return cache[d]
-    T = truncate_module(M, d)
-    table = betti(free_resolution(T))
-    if cache is not None:
-        cache[d] = table
-    return table
-
-
-def _truncation_verdict(M, d, mode, cache=None):
-    table = _truncation_betti(M, d, cache)
+def _truncation_verdict(M, d, mode):
+    table = betti(free_resolution(truncate_module(M, d)))
     if not table.data:
         return True
     v = classify_resolution(table)
@@ -147,7 +135,7 @@ def _truncation_verdict(M, d, mode, cache=None):
     return ok and v.gen_degree == tuple(d)
 
 
-def truncation_region(M, mode, box, cache=None):
+def truncation_region(M, mode, box):
     """Minimal elements, within a box, of the set of degrees whose
     truncation has a linear (mode 'L') or quasilinear (mode 'Q')
     resolution generated in that degree.
@@ -165,13 +153,11 @@ def truncation_region(M, mode, box, cache=None):
         raise ValueError(f"box {lo}..{hi} does not have rank {r}")
     if not deg_leq(lo, hi):
         raise ValueError("box lower corner must be <= upper corner")
-    if cache is None:
-        cache = {}
     found = []
     for d in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
         if any(deg_leq(g, d) for g in found):
             continue
-        if _truncation_verdict(M, d, mode, cache):
+        if _truncation_verdict(M, d, mode):
             found.append(d)
     for g in found:
         if any(a == b for a, b in zip(g, lo)):
@@ -183,14 +169,14 @@ def truncation_region(M, mode, box, cache=None):
     return Region(r, found)
 
 
-def multigraded_regularity(M, box, cache=None):
+def multigraded_regularity(M, box):
     """Minimal elements of the regularity region inside a box, via the
     quasilinear truncation search; requires no irrelevant torsion."""
     if not module_is_saturated_at_zero(M):
         raise NotSaturatedError(
             "module has irrelevant torsion; regularity via truncations "
             "does not apply")
-    return truncation_region(M, "Q", box, cache=cache)
+    return truncation_region(M, "Q", box)
 
 
 def ci_regularity(degrees):
@@ -224,8 +210,8 @@ def verify_ci_hypotheses(gens):
         d = g.degree()
         if d is None or any(x <= 0 for x in d):
             raise ValueError(
-                f"form of degree {d} rejected: degrees must be strictly "
-                "positive in every coordinate")
+                f"form {g} of degree {d} rejected: degrees must be "
+                "strictly positive in every coordinate")
     c = len(gens)
     if quotient_ring_dimension(ring, gens) != ring.nvars - c:
         return False

@@ -643,13 +643,11 @@ class MatrixOverS:
         return self.target.ring
 
     @classmethod
-    def from_entries(cls, source, target, entries, check=True):
+    def from_entries(cls, source, target, entries):
         """entries[k][l] is the Poly in row k, column l (None for 0)."""
-        cols = []
-        for l in range(source.rank):
-            col = [row[l] if row[l] is not None else None for row in entries]
-            cols.append(Vector.from_components(col))
-        return cls(source, target, cols, check=check)
+        cols = [Vector.from_components([row[l] for row in entries])
+                for l in range(source.rank)]
+        return cls(source, target, cols)
 
     @classmethod
     def identity(cls, spec):
@@ -732,10 +730,9 @@ class Presentation:
         self.relations = relations
 
     @classmethod
-    def free(cls, ring, twists=((),)):
-        if twists == ((),):
-            twists = (zero_degree(ring.r),)
-        return cls(FreeModuleSpec(ring, twists))
+    def free(cls, ring):
+        """S itself: one generator in degree 0, no relations."""
+        return cls(FreeModuleSpec(ring, (zero_degree(ring.r),)))
 
     @classmethod
     def quotient_by_ideal(cls, ring, gens):

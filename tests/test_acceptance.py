@@ -119,10 +119,9 @@ def test_criterion_3(hyperelliptic_module):
     assert betti(free_resolution(T)).data == HYPERELLIPTIC_TRUNC_21_BETTI
     assert betti_bound_L(table).minimal_generators == ((2, 7),)   # (c)
     assert betti_bound_Q(table).minimal_generators == ((2, 7),)
-    cache = {}
-    L = truncation_region(M, "L", ((0, 0), (9, 9)), cache=cache)   # (d)
+    L = truncation_region(M, "L", ((0, 0), (9, 9)))   # (d)
     assert L.minimal_generators == ((1, 5), (2, 2), (5, 1))
-    Q = truncation_region(M, "Q", ((0, 0), (9, 9)), cache=cache)   # (e)
+    Q = truncation_region(M, "Q", ((0, 0), (9, 9)))   # (e)
     assert Q.minimal_generators == ((1, 5), (2, 2), (4, 1))
 
 
@@ -261,11 +260,10 @@ def test_criterion_8(P11, P12, hyperelliptic_module, not_linear_module):
     for M, box, edge in [(not_linear_module, ((0, 0), (3, 3)), True),
                          (hyperelliptic_module, ((0, 0), (9, 9)), False)]:
         t = betti(free_resolution(M))
-        cache = {}
         with (pytest.warns(BoxBoundaryWarning) if edge
               else contextlib.nullcontext()):
-            TL = truncation_region(M, "L", box, cache=cache)
-            TQ = truncation_region(M, "Q", box, cache=cache)
+            TL = truncation_region(M, "L", box)
+            TQ = truncation_region(M, "Q", box)
         assert region_subset(TL, TQ)
         for g in betti_bound_L(t).minimal_generators:
             if all(l <= x <= h for l, x, h in zip(box[0], g, box[1])):

@@ -180,8 +180,9 @@ def test_required_corners_and_box_too_small(P11):
     corners = required_corners(P11, (0, 0))
     assert (1, 0) in corners and (0, 1) in corners
     assert min(c[0] for c in corners) == -2
+    table = local_cohomology_box(S, ((0, 0), (2, 2)))
     with pytest.raises(BoxTooSmall):
-        check_regularity_by_definition(S, (0, 0), box=((0, 0), (2, 2)))
+        check_regularity_by_definition(S, (0, 0), table=table)
 
 
 @pytest.mark.parametrize("degree", [(1,), (1, 0, 0)], ids=["short", "long"])

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,40 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     code, out, err = _run(["regularity", "--box", "0,0:2,2", str(job)],
                           capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("ideal, named", [
+    ("y0^2", "form y0^2 of degree (0, 2)"),
+    ("x0*y0; 0", "form 0 of degree None"),
+], ids=["nonpositive-degree", "zero-form"])
+def test_cli_ci_regularity_rejects_form(tmp_path, capsys, ideal, named):
+    # the closed form needs strictly positive degrees: a computation
+    # error naming the form, not a traceback
+    job = tmp_path / "ci.mr"
+    job.write_text(f"ring p=32003 n=[1,1]\nideal {ideal}\n")
+    code, out, err = _run(["ci-regularity", str(job)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def _readme_commands():
+    """The commands of the README's command-line block, as argv lists."""
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines() if line.startswith("multireg ")]
+
+
+def test_cli_readme_commands_run(capsys, monkeypatch):
+    # the README writes negative box corners as '--box -2,-2:2,2'
+    monkeypatch.chdir(DATA.parent)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        code, _, err = _run(argv, capsys)
+        assert code == 0, (argv, err)
 
 
 def test_cli_prime_range(tmp_path, capsys):

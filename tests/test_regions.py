@@ -150,8 +150,12 @@ def test_betti_bound_empty_rejected():
 
 def test_staircase_renderings():
     R = Region(2, [(1, 5), (2, 2), (4, 1)])
-    text = staircase_text(R, (0, 0), (6, 6))
+    text = staircase_text(R)
     assert "o" in text and "#" in text
+    # the plot box runs from one below the generators to three above
+    lines = text.splitlines()
+    assert lines[0].startswith("   8 ") and lines[-2].startswith("   0 ")
+    assert lines[-1].split() == [str(x) for x in range(8)]
     svg = staircase_svg(R)
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     with pytest.raises(ValueError):

@@ -28,6 +28,8 @@ from multireg import (
     verify_ci_hypotheses,
 )
 from multireg.cohomology import required_corners
+from multireg import regularity
+from multireg.groebner import colon_by_ideal
 from multireg.regularity import BoxBoundaryWarning, _truncation_verdict
 
 from .conftest import pp, saturated_corpus
@@ -89,6 +91,28 @@ def test_is_d_regular_hyperelliptic(hyperelliptic_module):
     assert is_d_regular(hyperelliptic_module, (2, 2))
 
 
+def test_saturation_checked_once_per_presentation(not_linear_module,
+                                                  monkeypatch):
+    """The torsion verdict is kept with the presentation's graded
+    pieces: four point checks and one region search run one colon."""
+    calls = []
+
+    def counting_colon(N, gens):
+        calls.append(N)
+        return colon_by_ideal(N, gens)
+
+    monkeypatch.setattr(regularity, "colon_by_ideal", counting_colon)
+    # a fresh presentation, so no earlier test has left a verdict
+    M = Presentation(not_linear_module.F0, not_linear_module.relations)
+    verdicts = [is_d_regular(M, d) for d in ((1, 0), (0, 1), (1, 1), (2, 2))]
+    assert verdicts == [True, False, True, True]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoxBoundaryWarning)
+        R = multigraded_regularity(M, ((0, 0), (3, 3)))
+    assert R.minimal_generators == ((1, 0),)
+    assert len(calls) == 1
+
+
 def test_is_d_regular_requires_saturation(P12):
     SB = Presentation.quotient_by_ideal(P12, irrelevant_ideal(P12))
     with pytest.raises(NotSaturatedError):
@@ -104,13 +128,10 @@ def test_truncation_region_of_ring(P11):
 
 
 def test_truncation_region_golden(hyperelliptic_module):
-    cache = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoxBoundaryWarning)
-        L = truncation_region(hyperelliptic_module, "L", ((0, 0), (9, 9)),
-                              cache=cache)
-        Q = truncation_region(hyperelliptic_module, "Q", ((0, 0), (9, 9)),
-                              cache=cache)
+        L = truncation_region(hyperelliptic_module, "L", ((0, 0), (9, 9)))
+        Q = truncation_region(hyperelliptic_module, "Q", ((0, 0), (9, 9)))
     assert L.minimal_generators == ((1, 5), (2, 2), (5, 1))
     assert Q.minimal_generators == ((1, 5), (2, 2), (4, 1))
     assert region_subset(L, Q)
@@ -141,15 +162,15 @@ def test_boundary_warning(P11):
         truncation_region(S, "Q", ((0, 0), (2, 2)))
 
 
-def _assert_sweep_unpruned(M, mode, cache):
+def _assert_sweep_unpruned(M, mode):
     """The pruned sweep over [0,3]^2 contains exactly the points whose
-    own truncation passes in ``mode``."""
+    own truncation passes in ``mode``, each recomputed apart from the
+    sweep."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoxBoundaryWarning)
-        R = truncation_region(M, mode, ((0, 0), (3, 3)), cache=cache)
+        R = truncation_region(M, mode, ((0, 0), (3, 3)))
     for d in itertools.product(range(4), repeat=2):
-        assert R.contains(d) == _truncation_verdict(M, d, mode, cache), \
-            (mode, d)
+        assert R.contains(d) == _truncation_verdict(M, d, mode), (mode, d)
 
 
 def test_upward_closure_spot_check(P11, not_linear_module, not_linear_mirror):
@@ -159,9 +180,8 @@ def test_upward_closure_spot_check(P11, not_linear_module, not_linear_mirror):
     modules = [not_linear_module, not_linear_mirror]
     modules += saturated_corpus(P11, 3, seed=11)
     for M in modules:
-        cache = {}
         for mode in ("L", "Q"):
-            _assert_sweep_unpruned(M, mode, cache)
+            _assert_sweep_unpruned(M, mode)
 
 
 def test_multigraded_regularity_requires_saturation(P12):
@@ -213,11 +233,10 @@ def test_theorem_b_containments(not_linear_module, hyperelliptic_module):
              (hyperelliptic_module, ((0, 0), (9, 9)))]
     for M, box in cases:
         t = betti(free_resolution(M))
-        cache = {}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoxBoundaryWarning)
-            TL = truncation_region(M, "L", box, cache=cache)
-            TQ = truncation_region(M, "Q", box, cache=cache)
+            TL = truncation_region(M, "L", box)
+            TQ = truncation_region(M, "Q", box)
         for g in betti_bound_L(t).minimal_generators:
             if all(l <= x <= h for l, x, h in zip(box[0], g, box[1])):
                 assert TL.contains(g)
