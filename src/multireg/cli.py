@@ -42,6 +42,7 @@ from .truncation import truncate_module
 
 
 def _parse_degree(text, rank=None, what="degree"):
+    text = text.strip()
     try:
         d = tuple(int(x) for x in text.split(","))
     except ValueError:
@@ -372,15 +373,25 @@ _DEGREE_OPTIONS = ("--box", "--truncate-at")
 
 
 def _attach_degree_values(argv):
-    """Write ``--box -2,-2:2,2`` as ``--box=-2,-2:2,2``: argparse takes
-    a value that starts with '-' and is not a plain number for an
-    option, and stops with 'expected one argument'."""
+    """Keep degree values that start with '-' from being read as
+    options: argparse takes such a token, unless it is a plain number,
+    for an option, and stops with 'expected one argument' or
+    'unrecognized arguments'.  ``--box -2,-2:2,2`` is written as
+    ``--box=-2,-2:2,2``.  The positionals of ``region`` and the values
+    of ``--degrees`` get a leading space instead, which argparse does
+    not read as an option prefix and int() skips."""
     out = []
+    degrees = False
     for tok in argv:
-        if out and out[-1] in _DEGREE_OPTIONS and re.match(r"-\d", tok):
+        negative = re.match(r"-\d", tok)
+        if out and out[-1] in _DEGREE_OPTIONS and negative:
             out[-1] += "=" + tok
-        else:
-            out.append(tok)
+            continue
+        if tok.startswith("-") and not negative:
+            degrees = tok == "--degrees"
+        elif negative and (degrees or argv[:1] == ["region"]):
+            tok = " " + tok
+        out.append(tok)
     return out
 
 

@@ -56,10 +56,12 @@ class GroebnerBasis:
 
     Elements are monic homogeneous vectors, sorted by increasing lead
     term, with no lead dividing another and fully reduced tails, so
-    equality of bases is equality of submodules.
+    equality of bases is equality of submodules.  ``_nf`` memoizes the
+    normal forms of single terms (see normal_form); it is a cache, not
+    part of the basis, and equality and hashing ignore it.
     """
 
-    __slots__ = ("ambient", "elements", "_leads")
+    __slots__ = ("ambient", "elements", "_leads", "_nf")
 
     def __init__(self, ambient, elements):
         self.ambient = ambient
@@ -69,6 +71,7 @@ class GroebnerBasis:
             (comp, mono), _ = g.lead()
             leads.setdefault(comp, []).append((mono, i))
         self._leads = leads
+        self._nf = {}
 
     def __eq__(self, other):
         return (isinstance(other, GroebnerBasis)
@@ -269,18 +272,85 @@ def buchberger(gens, ambient=None):
     return GroebnerBasis(ambient, _interreduce(eng.vecs, ambient.ring.p))
 
 
+def _combine(pairs, memo, p):
+    """The term tuple of sum(c * memo[key]) over the (key, c) in
+    ``pairs``."""
+    if len(pairs) == 1:
+        key, c = pairs[0]
+        return memo[key] if c == 1 else vec_scale(memo[key], c, p)
+    acc = {}
+    for key, c in pairs:
+        for k, v in memo[key]:
+            acc[k] = acc.get(k, 0) + c * v
+    out = []
+    for k in sorted(acc, reverse=True):
+        v = acc[k] % p
+        if v:
+            out.append((k, v))
+    return tuple(out)
+
+
+def _term_normal_form(G, key):
+    """Normal form of the single term ``key`` (coefficient 1), through
+    the memo G._nf.
+
+    A term no lead divides is its own normal form.  A term q*lead(g),
+    with g the element _find_divisor picks, is congruent to -q*tail(g),
+    so its normal form is the combination of the memoized normal forms
+    of the terms of q*tail(g).  Those are strictly smaller, so the walk
+    ends; it runs on an explicit stack, in post-order, because a chain
+    can be as long as a graded piece is wide.
+    """
+    memo = G._nf
+    got = memo.get(key)
+    if got is not None:
+        return got
+    p = G.ambient.ring.p
+    tails = {}
+    stack = [key]
+    while stack:
+        k = stack[-1]
+        if k in memo:
+            stack.pop()
+            continue
+        tail = tails.pop(k, None)
+        if tail is not None:
+            # every term of the tail was memoized above k on the stack
+            memo[k] = _combine(tail, memo, p)
+            stack.pop()
+            continue
+        idx, lm = _find_divisor(G._leads, -k[2], k[1])
+        if idx is None:
+            memo[k] = ((k, 1),)
+            stack.pop()
+            continue
+        tail = vec_mono_mul(G.elements[idx].terms[1:], mono_div(k[1], lm),
+                            p - 1, p)
+        tails[k] = tail
+        stack.extend(t for t, _ in tail if t not in memo)
+    return memo[key]
+
+
 def normal_form(f, G):
     """Remainder of f on division by the basis: no remaining term is
     divisible by a lead of G, and f - result lies in the submodule.
     The result is zero exactly when f is a member.
+
+    The remainder is linear in f, so it is the combination of the
+    normal forms of f's terms, which G memoizes one term at a time
+    (_term_normal_form): a term costs one division step the first
+    time any call meets it and none after.  The remainder on division
+    by a Groebner basis is unique, so this is the same tuple as full
+    reduction of f (_reduce_full) returns.
     """
     if isinstance(f, Poly):
         v = Vector.from_components([f])
         out = normal_form(v, G)
         return out.component_poly(f.ring, 0)
-    basis_terms = [g.terms for g in G.elements]
-    rem, _ = _reduce_full(f.terms, basis_terms, G._leads, G.ambient.ring.p)
-    return Vector(rem, _canonical=True)
+    for key, _ in f.terms:
+        _term_normal_form(G, key)
+    return Vector(_combine(f.terms, G._nf, G.ambient.ring.p),
+                  _canonical=True)
 
 
 def kernel_projection(M, rank):

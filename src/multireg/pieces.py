@@ -6,6 +6,13 @@ basis is computed every piece and every multiplication map between
 pieces is plain linear algebra over F_p.  This is the workhorse behind
 Hilbert-function queries in bulk, generator trimming, and the Ext
 complexes of the cohomology oracle.
+
+Multiplication matrices are assembled from sparse blocks, one per
+(monomial, source degree).  A product of a basis monomial that is
+itself a basis monomial is a unit entry; only the other products take
+a normal form, and the Groebner basis memoizes those per term, so the
+long reduction chains of high powers are walked once per module, not
+once per degree and power that meets them.
 """
 
 import weakref
@@ -29,6 +36,18 @@ from .ringcore import (
 _SHARED = weakref.WeakKeyDictionary()
 
 
+def _scaled(vals, c, p):
+    """c * vals mod p for residues vals in [1, p), exact for every p
+    below 2^62."""
+    if c == 1:
+        return vals
+    if c == p - 1:
+        return p - vals
+    if p < 1 << 31:
+        return vals * c % p
+    return np.array([v * c % p for v in vals.tolist()], dtype=np.int64)
+
+
 class GradedPieces:
     """Graded-piece calculator for one presentation, with caching."""
 
@@ -48,7 +67,7 @@ class GradedPieces:
         self.gb = buchberger(M.relations)
         self._basis = {}
         self._index = {}
-        self._mult = {}
+        self._blocks = {}
         # regularity.module_is_saturated_at_zero's verdict, once known
         self.saturated_at_zero = None
 
@@ -83,27 +102,55 @@ class GradedPieces:
             out[idx[(-negc, m)]] = c
         return out
 
-    def mult_matrix(self, f, d):
-        """Matrix of multiplication by homogeneous f from the degree-d
-        piece to the degree d + deg(f) piece, in standard bases."""
-        d = tuple(d)
-        key = (f.terms, d)
-        got = self._mult.get(key)
+    def _block(self, m, d):
+        """Multiplication by the monomial m from the degree-d piece, as
+        (rows, cols, residues, shape) of its nonzero entries."""
+        key = (m, d)
+        got = self._blocks.get(key)
         if got is not None:
             return got
-        e = deg_add(d, f.degree())
         src = self.basis(d)
+        e = deg_add(d, self.ring.monomial_degree(m))
         tgt = self.basis(e)
         idx = self._index[e]
-        A = np.zeros((len(tgt), len(src)), dtype=np.int64)
-        p = self.ring.p
+        rows, cols, vals = [], [], []
         for j, (comp, mono) in enumerate(src):
-            terms = tuple((term_key(comp, mono_mul(mono, mf)), cf)
-                          for mf, cf in f.terms)
-            nf = normal_form(Vector(terms), self.gb)
-            for (tot, m, negc), c in nf.terms:
-                A[idx[(-negc, m)], j] = c
-        self._mult[key] = A
+            prod = mono_mul(mono, m)
+            i = idx.get((comp, prod))
+            if i is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(1)
+                continue
+            nf = normal_form(Vector(((term_key(comp, prod), 1),),
+                                    _canonical=True), self.gb)
+            for (_, mm, negc), c in nf.terms:
+                rows.append(idx[(-negc, mm)])
+                cols.append(j)
+                vals.append(c)
+        got = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+               np.array(vals, dtype=np.int64), (len(tgt), len(src)))
+        self._blocks[key] = got
+        return got
+
+    def mult_matrix(self, f, d):
+        """Matrix of multiplication by homogeneous nonzero f from the
+        degree-d piece to the degree d + deg(f) piece, in standard
+        bases: the sum of its terms' monomial blocks, scaled."""
+        # one term is homogeneous; degree() rejects zero and mixed forms
+        if len(f.terms) != 1 and f.degree() is None:
+            raise ValueError("multiplication by zero has no degree")
+        d = tuple(d)
+        p = self.ring.p
+        A = None
+        for m, c in f.terms:
+            rows, cols, vals, shape = self._block(m, d)
+            vals = _scaled(vals, c, p)
+            if A is None:
+                A = np.zeros(shape, dtype=np.int64)
+                A[rows, cols] = vals
+            else:
+                A[rows, cols] = (A[rows, cols] + vals) % p
         return A
 
     def variable_step_span(self, e, lower_bound):

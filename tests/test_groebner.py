@@ -11,6 +11,7 @@ from multireg import (
     MatrixOverS,
     Poly,
     Presentation,
+    RingSpec,
     Vector,
     betti,
     buchberger,
@@ -31,6 +32,8 @@ from multireg import (
 )
 from multireg import groebner, modp
 from multireg.groebner import schreyer_frame
+from multireg.ringcore import free_basis_of_degree, term_key, vec_add, \
+    vec_scale
 
 from .conftest import pp, random_homogeneous_gen
 
@@ -350,3 +353,79 @@ def test_schreyer_frame_level_ranks(hyperelliptic_module,
                         (overlong_frame_module, (3, 3), [22, 30, 20, 7, 1])]:
         frame = schreyer_frame(truncate_module(M, d).relations)
         assert [m.source.rank for m in frame] == ranks, d
+
+
+def _memo_bases():
+    """(label, reduced Groebner basis) for the relations of every data
+    file, a seeded corpus of ideals, and ideals over p = 2^61 - 1."""
+    out = []
+    for path in sorted(DATA.glob("*.mr")):
+        M = parse_input(path.read_text()).module()
+        out.append((path.name, buchberger(M.relations)))
+    rng = random.Random(20261018)
+    for ring in (RingSpec((1, 2)), RingSpec((1, 1), p=2**61 - 1)):
+        for k in range(3):
+            gens = [random_homogeneous_gen(ring, rng) for _ in range(3)]
+            out.append((f"{ring.n} p={ring.p} #{k}",
+                        buchberger(ideal_matrix(ring, gens))))
+    return out
+
+
+def _memo_degrees(G):
+    """A few degrees where G has reducible terms: its three highest
+    element degrees and one step above the highest."""
+    degs = sorted({g.degree(G.ambient) for g in G.elements},
+                  key=lambda d: (sum(d), d))[-3:]
+    return degs + [tuple(a + 1 for a in degs[-1])]
+
+
+def test_memoized_normal_form_matches_full_reduction():
+    """Normal forms read from the per-term memo are the tuples full
+    reduction gives: for every term of a few degrees, and for seeded
+    vectors, members (whose terms' normal forms cancel) included."""
+    rng = random.Random(7)
+    for label, G in _memo_bases():
+        p = G.ambient.ring.p
+        elements = [g.terms for g in G.elements]
+
+        def full(terms):
+            return groebner._reduce_full(terms, elements, G._leads, p)[0]
+
+        for d in _memo_degrees(G):
+            keys = [term_key(c, m)
+                    for c, m in free_basis_of_degree(G.ambient, d)]
+            for k in keys:
+                got = normal_form(Vector(((k, 1),), _canonical=True), G)
+                assert got.terms == full(((k, 1),)), (label, d, k)
+            for _ in range(6):
+                picked = rng.sample(keys, min(3, len(keys)))
+                v = Vector([(k, rng.randint(1, p - 1)) for k in picked])
+                member = vec_add(v.terms, vec_scale(full(v.terms), p - 1, p),
+                                 p)
+                for terms in (v.terms, member,
+                              vec_add(member, ((picked[0], 1),), p)):
+                    got = normal_form(Vector(terms, _canonical=True), G)
+                    assert got.terms == full(terms), (label, d, terms)
+
+
+def test_normal_form_memo_walks_each_term_once(P12, monkeypatch):
+    """A term costs one divisor search the first time any normal form
+    meets it (a division step when it is reducible), and a repeated
+    call costs none."""
+    G = buchberger(ideal_matrix(P12, [
+        pp(P12, "x0^2*y0^2 + x1^2*y1^2 + x0*x1*y2^2"),
+        pp(P12, "x0^3*y2 + x1^3*(y0 + y1)")]))
+    searches = []
+    find = groebner._find_divisor
+
+    def counting(leads, comp, mono):
+        searches.append(mono)
+        return find(leads, comp, mono)
+
+    monkeypatch.setattr(groebner, "_find_divisor", counting)
+    f = pp(P12, "x0^5*y2^6 + 3*x0^4*x1*y1^6 - x1^5*y0^3*y2^3")
+    first = normal_form(f, G)
+    n = len(searches)
+    assert n == len(set(searches)) == len(G._nf) >= 10
+    assert normal_form(f, G) == first
+    assert len(searches) == n

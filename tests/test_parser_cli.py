@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from multireg import ParseError, parse_input, poly_from_string
+from multireg import ParseError, parse_input, poly_from_string, region_Q
 from multireg.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -102,6 +102,16 @@ def test_cli_region_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["minimal_generators"] == [[0, 2], [1, 1]]
+
+
+def test_cli_region_negative_degree(capsys):
+    # a positional degree that starts with '-' is the degree, not an
+    # unknown option
+    code, out, _ = _run(["region", "Q", "1", "-1,2", "--format", "json"],
+                        capsys)
+    assert code == 0
+    want = region_Q(1, (-1, 2)).minimal_generators
+    assert json.loads(out)["minimal_generators"] == [list(g) for g in want]
 
 
 def test_cli_betti_truncated(capsys):
@@ -268,6 +278,8 @@ BAD_DEGREE_ARGUMENTS = [
     (["region", "L", "-1", "1,1"], "level"),
     (["ci-regularity", "--degrees", "1,1", "2"], "--degrees"),
     (["ci-regularity", "--degrees", "1,0"], "--degrees"),
+    (["ci-regularity", "--degrees", "-1,1", "data/ci_surface.mr"],
+     "--degrees entry"),
 ]
 
 

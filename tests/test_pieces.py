@@ -1,0 +1,99 @@
+"""Multiplication matrices of graded pieces: their algebra, their
+agreement with full reduction, and their per-monomial cache."""
+
+import random
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from multireg import Poly, monomials_of_degree, parse_input, pieces
+from multireg.groebner import _reduce_full
+from multireg.pieces import GradedPieces
+from multireg.ringcore import mono_mul, term_key
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _hyperelliptic(p=None):
+    text = (DATA / "hyperelliptic.mr").read_text()
+    if p is not None:
+        text = text.replace("p=32003", f"p={p}")
+    return parse_input(text).module()
+
+
+def _random_form(ring, rng, d, nterms=3):
+    f = Poly.zero(ring)
+    for m in rng.sample(monomials_of_degree(ring, d), nterms):
+        f = f + Poly.monomial(ring, m, rng.randint(1, ring.p - 1))
+    return f
+
+
+@pytest.mark.parametrize("p", [32003, 2**61 - 1])
+def test_mult_matrix_is_linear_in_f(p):
+    """Scaling f scales its matrix and a sum of forms has the sum of
+    their matrices, mod p; every column is the full reduction of the
+    product."""
+    M = _hyperelliptic(p)
+    ring = M.ring
+    gp = GradedPieces(M)
+    elements = [g.terms for g in gp.gb.elements]
+    rng = random.Random(5)
+    for d, e in [((0, 3), (1, 1)), ((2, 2), (1, 2)), ((1, 5), (2, 0))]:
+        for m in rng.sample(monomials_of_degree(ring, e), 2):
+            c = rng.randint(2, p - 1)
+            A = gp.mult_matrix(Poly.monomial(ring, m), d)
+            assert np.array_equal(gp.mult_matrix(Poly.monomial(ring, m, c),
+                                                 d),
+                                  np.array([int(a) * c % p for a in A.flat],
+                                           dtype=np.int64).reshape(A.shape))
+        f, g = _random_form(ring, rng, e), _random_form(ring, rng, e)
+        F = gp.mult_matrix(f, d)
+        assert np.array_equal(gp.mult_matrix(f + g, d),
+                              (F + gp.mult_matrix(g, d)) % p)
+        tgt = gp.basis(tuple(a + b for a, b in zip(d, e)))
+        for j, (comp, mono) in enumerate(gp.basis(d)):
+            terms = sorted(((term_key(comp, mono_mul(mono, mf)), cf)
+                            for mf, cf in f.terms), reverse=True)
+            want = np.zeros(len(tgt), dtype=np.int64)
+            for (_, mm, negc), cc in _reduce_full(tuple(terms), elements,
+                                                  gp.gb._leads, p)[0]:
+                want[tgt.index((-negc, mm))] = cc
+            assert np.array_equal(F[:, j], want), (d, e, j)
+
+
+def test_mult_matrix_blocks_are_cached_per_monomial(monkeypatch):
+    """Multiplying by -x^t after x^t reuses x^t's block: no normal
+    form at all.  The first call takes one normal form per source
+    monomial whose product is not itself a standard monomial."""
+    M = _hyperelliptic()
+    ring = M.ring
+    gp = GradedPieces(M)
+    calls = []
+    nf = pieces.normal_form
+
+    def counting(v, G):
+        calls.append(v)
+        return nf(v, G)
+
+    monkeypatch.setattr(pieces, "normal_form", counting)
+    d, t = (0, 2), 3
+    x = Poly.variable(ring, 0) ** t
+    A = gp.mult_matrix(x, d)
+    tgt = gp.basis((t, 2))
+    reducible = [(c, m) for c, m in gp.basis(d)
+                 if (c, mono_mul(m, x.terms[0][0])) not in tgt]
+    assert 0 < len(reducible) < len(gp.basis(d))
+    assert len(calls) == len(reducible)
+    calls.clear()
+    B = gp.mult_matrix(-x, d)
+    assert calls == []
+    assert np.array_equal(B, (ring.p - A) % ring.p)
+    assert np.array_equal(gp.mult_matrix(x, d), A)
+    assert calls == []
+
+
+def test_mult_matrix_rejects_zero():
+    M = _hyperelliptic()
+    with pytest.raises(ValueError):
+        GradedPieces(M).mult_matrix(Poly.zero(M.ring), (0, 0))
