@@ -198,12 +198,20 @@ def cmd_betti_bounds(args):
 
 def cmd_ci_regularity(args):
     if args.degrees:
-        degrees = [_parse_degree(d, what="--degrees entry")
-                   for d in args.degrees]
+        # nargs="*" also takes a file written after the degrees
+        files = [t for t in args.degrees if re.search(r"[^\d,\s-]", t)]
+        degrees = [_parse_degree(t, what="--degrees entry")
+                   for t in args.degrees if t not in files]
         for d in degrees:
             if len(d) != len(degrees[0]) or min(d) <= 0:
                 raise ParseError(f"--degrees entry {list(d)}: expected "
                                  "strictly positive degrees of one rank")
+        if args.file:
+            files.append(args.file)
+        if files:
+            raise ParseError(f"{files[0]} given with --degrees: "
+                             "ci-regularity takes a file or --degrees, "
+                             "not both")
         region = ci_regularity(degrees)
         _render_region(args, region)
         return 0

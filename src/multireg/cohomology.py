@@ -36,6 +36,7 @@ from .ringcore import (
     MatrixOverS,
     Poly,
     Vector,
+    checked_degree,
     deg_add,
     deg_leq,
     deg_max,
@@ -66,7 +67,7 @@ def structure_sheaf_local_cohomology(ring, i, pdeg):
     splittings of i - 1 into per-factor cohomological degrees."""
     if i < 0:
         raise ValueError("cohomological index must be >= 0")
-    pdeg = tuple(pdeg)
+    pdeg = checked_degree(pdeg, ring.r)
     if i <= 1:
         return 0
     k = i - 1
@@ -161,7 +162,7 @@ class CohomologyTable:
         self.max_index = max_index
 
     def dim(self, i, pdeg):
-        pdeg = tuple(pdeg)
+        pdeg = checked_degree(pdeg, len(self.box[0]))
         if i > self.max_index:
             return 0
         if not (deg_leq(self.box[0], pdeg) and deg_leq(pdeg, self.box[1])):
@@ -225,15 +226,14 @@ def _ext_dims_at(pieces, complex_, pdeg, max_index):
         row_off = np.concatenate([[0], np.cumsum(rows_sizes)]).astype(int)
         col_off = np.concatenate([[0], np.cumsum(cols_sizes)]).astype(int)
         for l, col in enumerate(diff.columns):
-            # a term c*m of entry (k, l) of the differential multiplies
-            # the piece at F_j twist k into the piece at F_{j+1} twist l
+            # entry (k, l) of a bracket-power differential is one term
+            # c*m, which multiplies the piece at F_j twist k into the
+            # piece at F_{j+1} twist l: each block is written once
             for (_, m, negc), c in col.terms:
                 k = -negc
-                blk = pieces.mult_matrix(Poly.monomial(ring, m, c),
-                                         deg_add(pdeg, diff.target.twists[k]))
                 A[row_off[l]:row_off[l + 1], col_off[k]:col_off[k + 1]] = \
-                    (A[row_off[l]:row_off[l + 1],
-                       col_off[k]:col_off[k + 1]] + blk) % p
+                    pieces.mult_matrix(Poly.monomial(ring, m, c),
+                                       deg_add(pdeg, diff.target.twists[k]))
         ranks.append(modp.rank(A, p))
     out = {}
     for i in range(max_index + 1):
@@ -339,10 +339,7 @@ def check_regularity_by_definition(M, d, table=None):
     required corner (BoxTooSmall otherwise).
     """
     ring = M.ring
-    d = tuple(d)
-    if len(d) != ring.r:
-        raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
-                         f"rank {ring.r}")
+    d = checked_degree(d, ring.r)
     corners = required_corners(ring, d)
     if table is None:
         lo = tuple(min(c[j] for c in corners) for j in range(ring.r))

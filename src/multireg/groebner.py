@@ -109,16 +109,21 @@ def _find_divisor(leads, comp, mono):
     return None, None
 
 
-def _reduce_full(terms, basis_terms, leads, p, reps=None):
-    """Normal form of a term tuple against monic basis elements.
+def _reduce_full(terms, basis_terms, leads, p):
+    """Full reduction of a term tuple against monic basis elements:
+    the one division loop of the module.
 
-    Returns (remainder_terms, rep_delta) where rep_delta accumulates
-    the used quotients against ``reps`` (term tuples over the tracking
-    module) when tracking is on.  Quotients are gathered first and
-    merged once at the end.
+    Returns (remainder, quotients).  No term of the remainder is
+    divisible by a lead, and ``terms`` is the remainder plus the sum
+    of c * m * basis_terms[idx] over the (idx, m, c) in ``quotients``,
+    one triple per division step, largest term first.  ``leads`` maps
+    a component to the (lead monomial, index) pairs of the basis
+    elements whose lead lies in it.  The term order is whatever the
+    keys encode: the standard one for Buchberger, the induced order
+    of a syzygy level in the lifted coordinates of schreyer_frame.
     """
     rem = []
-    quotients = [] if reps is not None else None
+    quotients = []
     work = terms
     while work:
         key0, c0 = work[0]
@@ -130,15 +135,8 @@ def _reduce_full(terms, basis_terms, leads, p, reps=None):
             continue
         m = mono_div(mono, lm)
         work = vec_add(work, vec_mono_mul(basis_terms[idx], m, p - c0, p), p)
-        if quotients is not None:
-            quotients.append((idx, m, c0))
-    delta = None
-    if quotients is not None:
-        delta = ()
-        for idx, m, c0 in quotients:
-            if reps[idx]:
-                delta = vec_add(delta, vec_mono_mul(reps[idx], m, c0, p), p)
-    return tuple(rem), delta
+        quotients.append((idx, m, c0))
+    return tuple(rem), quotients
 
 
 class _Engine:
@@ -171,10 +169,11 @@ class _Engine:
         expression in the generators, and a reduction to zero records
         that expression as a syzygy."""
         p = self.p
-        terms, delta = _reduce_full(terms, self.vecs, self.leads, p,
-                                    self.reps)
+        terms, quotients = _reduce_full(terms, self.vecs, self.leads, p)
         if self.tracked:
-            rep = vec_add(rep, vec_scale(delta, p - 1, p), p)
+            for idx, m, c in quotients:
+                rep = vec_add(rep, vec_mono_mul(self.reps[idx], m, p - c, p),
+                              p)
         if not terms:
             if self.tracked and rep:
                 self.syzygies.append(Vector(rep, _canonical=True))
@@ -384,47 +383,6 @@ def syzygies(M):
     return MatrixOverS(out_src, src, syz, check=False)
 
 
-def _reduce_to_zero_in_order(start, tails, lead_lookup, lifts, p):
-    """Reduce an element to zero against monic basis elements in the
-    Schreyer order given by ``lifts`` (see schreyer_frame), returning
-    the quotients used.
-
-    ``start`` is a list of (comp, mono, coeff); basis element i has a
-    unit lead recorded in ``lead_lookup`` and remaining terms
-    ``tails[i]``.  Raises if the element does not reduce to zero.
-    """
-    work = {}
-    heap = []
-
-    def push(comp, mono, coeff):
-        cm = (comp, mono)
-        cur = work.get(cm)
-        if cur is None:
-            work[cm] = coeff % p
-            bottom, neg_lift, chain = lifts[comp]
-            neg = tuple(a - e for a, e in zip(neg_lift, mono))
-            heapq.heappush(heap, ((sum(neg), neg, bottom, chain), cm))
-        else:
-            work[cm] = (cur + coeff) % p
-
-    for comp, mono, coeff in start:
-        push(comp, mono, coeff)
-    quotients = []
-    while heap:
-        _, (comp, mono) = heapq.heappop(heap)
-        c = work.pop((comp, mono), 0)
-        if not c:
-            continue
-        idx, lm = _find_divisor(lead_lookup, comp, mono)
-        if idx is None:
-            raise ValueError("element does not reduce to zero")
-        m = mono_div(mono, lm)
-        quotients.append((idx, m, c))
-        for c2, m2, coeff2 in tails[idx]:
-            push(c2, mono_mul(m2, m), (p - c) * coeff2)
-    return quotients
-
-
 def schreyer_frame(relations):
     """Iterated syzygies of a presentation, reducing in Schreyer
     orders all the way up.
@@ -438,13 +396,20 @@ def schreyer_frame(relations):
     the free module on one level's elements onto the kernel of the
     previous one), up to the first level with no pair left.
 
-    The induced orders are flat.  Following leads down from a level-k
-    generator e_i reaches a bottom component b of the target with a
-    lifted lead monomial L, through the generator ids chain = (i_1,
-    ..., i_k = i), one per level.  With lift[i] = (b, L, chain) the
-    order induced on level k ranks m*e_i by (total degree of L*m, L*m,
-    -b, -i_1, ..., -i_k): the target's standard order, ties broken by
-    the chain.  Reduction heaps store this key negated.
+    Reductions run through _reduce_full, the loop Buchberger uses, in
+    lifted coordinates where the induced order is the standard one.
+    Following leads down from a level-k generator e_i reaches a bottom
+    component b of the target with a lifted lead monomial L_i, through
+    the generator ids i_1, ..., i_k = i, one per level; the induced
+    order ranks m*e_i by (total degree of L_i*m, L_i*m, -b, -i_1, ...,
+    -i_k).  Let rank(i) be i's position when its level is sorted by
+    (rank of i's lead component, i), the target's components ranking
+    as themselves; by induction this sorts by (b, i_1, ..., i_k).  So
+    the induced order on the terms m*e_i is the order of
+    term_key(rank(i), L_i*m), and m*e_i divides m'*e_j exactly when
+    the lifted terms do.  Level one lives in the target, whose lifts
+    are trivial, so the Groebner basis is used as it is; each later
+    level is lifted once, when it is built.
 
     The frame is not minimal, so Hilbert's bound on the length of a
     minimal resolution does not cap it (it can be one level longer
@@ -464,70 +429,54 @@ def schreyer_frame(relations):
     gb = buchberger(relations.columns, relations.target)
     if not gb.elements:
         return []
-    target = relations.target
-    # lifts of the components the current level reduces in, with the
-    # lifted monomial negated; the target's are its own components
-    lifts = [(c, (0,) * ring.nvars, ()) for c in range(target.rank)]
-    leads = []
-    tails = []
-    degrees = []
-    for g in gb.elements:
-        (comp, mono), _ = g.lead()
-        leads.append((comp, mono))
-        tails.append([(-negc, m, c) for (tot, m, negc), c in g.terms[1:]])
-        degrees.append(g.degree(target))
-    mats = [MatrixOverS(FreeModuleSpec(ring, degrees), target, gb.elements,
-                        check=False)]
+    mats = [gb.as_matrix()]
+    # the elements of the current level, in lifted coordinates
+    level = [g.terms for g in gb.elements]
     while True:
         src = mats[-1].source
-        lead_lookup = {}
-        for i, (comp, mono) in enumerate(leads):
-            lead_lookup.setdefault(comp, []).append((mono, i))
+        leads = {}
+        for i, terms in enumerate(level):
+            (_, mono, negc), _ = terms[0]
+            leads.setdefault(-negc, []).append((mono, i))
         pairs = []
-        for comp, lst in lead_lookup.items():
-            for a in range(len(lst)):
-                for b in range(a + 1, len(lst)):
-                    i, j = lst[a][1], lst[b][1]
-                    u, v = min(i, j), max(i, j)
-                    lcm = mono_lcm(leads[u][1], leads[v][1])
-                    pairs.append((u, v, mono_div(lcm, leads[u][1]), lcm))
+        for lst in leads.values():
+            for a, (lu, u) in enumerate(lst):
+                for lv, v in lst[a + 1:]:
+                    lcm = mono_lcm(lu, lv)
+                    pairs.append((u, v, mono_div(lcm, lu), mono_div(lcm, lv)))
         pairs.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1]))
         kept = []
-        kept_leads = []
-        for u, v, m, lcm in pairs:
-            if any(w == u and mono_divides(m2, m) for w, m2 in kept_leads):
-                continue
-            kept.append((u, v, m, lcm))
-            kept_leads.append((u, m))
+        for u, v, mu, mv in pairs:
+            if not any(w == u and mono_divides(m, mu) for w, _, m, _ in kept):
+                kept.append((u, v, mu, mv))
         if not kept:
             break
-        new_leads = []
-        new_tails = []
-        new_degs = []
-        new_cols = []
-        for u, v, mu_quot, lcm in kept:
-            mv_quot = mono_div(lcm, leads[v][1])
-            start = [(c2, mono_mul(m2, mu_quot), coeff2)
-                     for c2, m2, coeff2 in tails[u]]
-            start += [(c2, mono_mul(m2, mv_quot), (p - 1) * coeff2 % p)
-                      for c2, m2, coeff2 in tails[v]]
-            quotients = _reduce_to_zero_in_order(start, tails, lead_lookup,
-                                                 lifts, p)
-            tail = [(v, mv_quot, p - 1)]
-            for idx, m, c in quotients:
-                tail.append((idx, m, (p - c) % p))
-            new_leads.append((u, mu_quot))
-            new_tails.append(tail)
-            new_degs.append(deg_add(ring.monomial_degree(mu_quot),
-                                    src.twists[u]))
-            terms = [(term_key(u, mu_quot), 1)]
-            terms += [(term_key(c2, m2), coeff2) for c2, m2, coeff2 in tail]
-            new_cols.append(Vector(terms))
-        mats.append(MatrixOverS(FreeModuleSpec(ring, new_degs), src,
-                                new_cols, check=False))
-        lifts = [(lifts[c][0], tuple(a - e for a, e in zip(lifts[c][1], m)),
-                  lifts[c][2] + (i,)) for i, (c, m) in enumerate(leads)]
-        leads, tails = new_leads, new_tails
+        lifts = [terms[0][0][1] for terms in level]
+        rank = {i: r for r, i in enumerate(sorted(
+            range(len(level)), key=lambda i: (-level[i][0][0][2], i)))}
+        degs = []
+        cols = []
+        new_level = []
+        for u, v, mu, mv in kept:
+            # the two monic leads cancel
+            s = vec_add(vec_mono_mul(level[u][1:], mu, 1, p),
+                        vec_mono_mul(level[v][1:], mv, p - 1, p), p)
+            rem, quotients = _reduce_full(s, level, leads, p)
+            if rem:
+                raise ValueError("element does not reduce to zero")
+            syz = [(u, mu, 1), (v, mv, p - 1)]
+            syz += [(idx, m, p - c) for idx, m, c in quotients]
+            degs.append(deg_add(ring.monomial_degree(mu), src.twists[u]))
+            cols.append(Vector([(term_key(i, m), c) for i, m, c in syz]))
+            # already in decreasing lifted order: the lead, the other
+            # lcm term (same lifted monomial, larger rank), then the
+            # quotients, whose lifted leads decrease in the level below
+            new_level.append(tuple(
+                (term_key(rank[i], mono_mul(lifts[i], m)), c)
+                for i, m, c in syz))
+        mats.append(MatrixOverS(FreeModuleSpec(ring, degs), src, cols,
+                                check=False))
+        level = new_level
     return mats
 
 

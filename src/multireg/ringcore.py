@@ -84,6 +84,16 @@ def deg_leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def checked_degree(d, r):
+    """``d`` as a tuple, after checking that it has ``r`` entries: zip
+    would silently cut a degree of the wrong rank to fit."""
+    d = tuple(d)
+    if len(d) != r:
+        raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
+                         f"rank {r}")
+    return d
+
+
 def deg_total(a):
     return sum(a)
 
@@ -254,8 +264,7 @@ def monomials_of_degree(ring, d):
 
     The count is the product over factors of C(n_i + d_i, n_i).
     """
-    if len(d) != ring.r:
-        raise ValueError("degree has wrong rank")
+    d = checked_degree(d, ring.r)
     if any(x < 0 for x in d):
         return []
     per_block = [list(_compositions(d[i], ring.n[i] + 1)) for i in range(ring.r)]
@@ -265,6 +274,7 @@ def monomials_of_degree(ring, d):
 def count_monomials(ring, d):
     """Closed-form count of monomials_of_degree."""
     from math import comb
+    d = checked_degree(d, ring.r)
     if any(x < 0 for x in d):
         return 0
     out = 1
@@ -473,9 +483,7 @@ class FreeModuleSpec:
 def free_basis_of_degree(spec, d):
     """Basis of the degree-d piece of a free module: pairs (component,
     monomial), component-major, monomials in descending term order."""
-    if len(d) != spec.ring.r:
-        raise ValueError(f"degree {tuple(d)} has rank {len(d)}; the ring "
-                         f"has rank {spec.ring.r}")
+    d = checked_degree(d, spec.ring.r)
     out = []
     for k, tw in enumerate(spec.twists):
         rel = deg_sub(d, tw)

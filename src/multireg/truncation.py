@@ -19,6 +19,7 @@ from .ringcore import (
     MatrixOverS,
     Presentation,
     Vector,
+    checked_degree,
     deg_max,
     deg_sub,
     deg_total,
@@ -35,6 +36,7 @@ def truncate_free(F, d):
     component k, and the inclusion maps it onto the truncation of F.
     """
     ring = F.ring
+    d = checked_degree(d, ring.r)
     twists = []
     cols = []
     for k, tw in enumerate(F.twists):
@@ -93,10 +95,7 @@ def truncate_module(M, d):
     relations.  The result has the same Hilbert function as M in
     degrees >= d and vanishes elsewhere.
     """
-    d = tuple(d)
-    if len(d) != M.ring.r:
-        raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
-                         f"rank {M.ring.r}")
+    d = checked_degree(d, M.ring.r)
     G, inc = truncate_free(M.F0, d)
     if G.rank:
         G, inc = _trim_generators(M, d, G, inc)

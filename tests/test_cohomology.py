@@ -16,12 +16,14 @@ from multireg import (
     local_cohomology_box,
     region_Q,
     structure_sheaf_local_cohomology,
+    truncate_free,
     truncate_module,
 )
 from multireg.cohomology import bracket_power_complex, required_corners
 from multireg.pieces import GradedPieces
 from multireg.regularity import classify_resolution
 from multireg.resolution import betti
+from multireg.ringcore import count_monomials
 
 
 
@@ -191,8 +193,14 @@ def test_required_corners_and_box_too_small(P11):
     lambda M, d: GradedPieces.of(M).dim(d),
     lambda M, d: local_cohomology_box(M, (d, d)),
     lambda M, d: check_regularity_by_definition(M, d),
+    lambda M, d: truncate_free(M.F0, d),
+    lambda M, d: count_monomials(M.ring, d),
+    # i <= 1 answers 0 without reading the degree
+    lambda M, d: structure_sheaf_local_cohomology(M.ring, 1, d),
+    lambda M, d: local_cohomology_box(M, ((0, 0), (0, 0))).dim(1, d),
 ], ids=["hilbert_function", "graded_pieces", "local_cohomology_box",
-        "definition_check"])
+        "definition_check", "truncate_free", "count_monomials",
+        "structure_sheaf", "table_dim"])
 def test_wrong_rank_degree_rejected(not_linear_module, call, degree):
     # zip in the degree arithmetic would drop or miss a coordinate
     with pytest.raises(ValueError, match=re.escape(str(degree))):

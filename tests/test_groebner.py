@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -35,7 +36,7 @@ from multireg.groebner import schreyer_frame
 from multireg.ringcore import free_basis_of_degree, term_key, vec_add, \
     vec_scale
 
-from .conftest import pp, random_homogeneous_gen
+from .conftest import pp, random_homogeneous_gen, saturated_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -347,13 +348,35 @@ def test_schreyer_frame_is_resolution(P11):
 def test_schreyer_frame_level_ranks(hyperelliptic_module,
                                     overlong_frame_module):
     """Which pairs a level keeps depends on the induced orders, so the
-    per-level ranks pin them, the chain of generator ids in each term
-    key included."""
+    per-level ranks pin them, the rank of each generator within its
+    level included."""
     for M, d, ranks in [(hyperelliptic_module, (2, 1), [21, 15, 3]),
                         (overlong_frame_module, (3, 3), [22, 30, 20, 7, 1])]:
         frame = schreyer_frame(truncate_module(M, d).relations)
         assert [m.source.rank for m in frame] == ranks, d
 
+
+
+def test_schreyer_frames_are_pinned():
+    """Every frame of the data files, of criterion 7's P1xP1 corpus and
+    of their truncations over [0,2]^r, hashed term for term: a change
+    to the induced orders, the pair selection or the division loop
+    that alters any column shows here."""
+    modules = [parse_input(path.read_text()).module()
+               for path in sorted(DATA.glob("*.mr"))]
+    modules += saturated_corpus(RingSpec((1, 1)), 38, 20240601, maxdeg=2)
+    digest = hashlib.sha256()
+    count = 0
+    for M in modules:
+        for P in [M] + [truncate_module(M, d) for d in
+                        itertools.product(range(3), repeat=M.ring.r)]:
+            for m in schreyer_frame(P.relations):
+                digest.update(repr((m.source.twists,
+                                    [c.terms for c in m.columns])).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == (
+        1080,
+        "8d543432e9d94ae5e2a6aecbc8da85a5ee1c639a24b365380c70ee113d0dd5d7")
 
 def _memo_bases():
     """(label, reduced Groebner basis) for the relations of every data

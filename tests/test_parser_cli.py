@@ -280,6 +280,10 @@ BAD_DEGREE_ARGUMENTS = [
     (["ci-regularity", "--degrees", "1,0"], "--degrees"),
     (["ci-regularity", "--degrees", "-1,1", "data/ci_surface.mr"],
      "--degrees entry"),
+    (["ci-regularity", "--degrees", "1,1", "1,2", "data/ci_surface.mr"],
+     "data/ci_surface.mr given with --degrees"),
+    (["ci-regularity", "data/ci_surface.mr", "--degrees", "1,1", "1,2"],
+     "data/ci_surface.mr given with --degrees"),
 ]
 
 
