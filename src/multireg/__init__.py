@@ -37,6 +37,7 @@ from .groebner import (
     syzygies,
 )
 from .parser import JobSpec, parse_input, poly_from_string
+from .pieces import hilbert_function
 from .regions import (
     Region,
     betti_bound_L,
@@ -75,7 +76,6 @@ from .ringcore import (
     Presentation,
     RingSpec,
     Vector,
-    hilbert_function,
     monomials_of_degree,
 )
 from .truncation import truncate_free, truncate_module

@@ -36,6 +36,8 @@ from .ringcore import (
     MatrixOverS,
     Poly,
     Vector,
+    box_points,
+    checked_box,
     checked_degree,
     deg_add,
     deg_leq,
@@ -201,12 +203,6 @@ class CohomologyTable:
         }
 
 
-def _box_points(box):
-    lo, hi = box
-    return [tuple(p) for p in _iterproduct(
-        *[range(a, b + 1) for a, b in zip(lo, hi)])]
-
-
 def _ext_dims_at(pieces, complex_, pdeg, max_index):
     """Dimensions of the cohomology of Hom(complex, M) in one degree:
     ranks of the induced blocks between direct sums of module pieces."""
@@ -263,11 +259,7 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
     ValueError up front when the cap leaves no two powers to compare.
     """
     ring = M.ring
-    lo, hi = tuple(box[0]), tuple(box[1])
-    if len(lo) != ring.r or len(hi) != ring.r:
-        raise ValueError(f"box {lo}..{hi} does not have rank {ring.r}")
-    if not deg_leq(lo, hi):
-        raise ValueError("box lower corner must be <= upper corner")
+    lo, hi = checked_box(box, ring.r)
     if t_start is None:
         t_start = default_t_start((lo, hi))
     if t_cap is None:
@@ -277,7 +269,7 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
                          "stabilization compares consecutive powers")
     max_index = sum(ring.n) + 1
     pieces = GradedPieces.of(M)
-    points = _box_points((lo, hi))
+    points = box_points((lo, hi))
 
     def table_at(t):
         cx = bracket_power_complex(ring, t)
@@ -353,7 +345,7 @@ def check_regularity_by_definition(M, d, table=None):
         raise BoxTooSmall(
             f"box {lo}..{hi} misses required corners {missing[:4]}",
             missing=missing)
-    points = _box_points((lo, hi))
+    points = box_points((lo, hi))
     # bottom group: vanishing on the unit-shifted orthants
     for j in range(ring.r):
         base = deg_add(d, unit_degree(ring.r, j))

@@ -3,9 +3,11 @@
 One kernel: ``rref`` reads a dense matrix once into sparse rows of
 Python ints, so the arithmetic is exact for every prime, and eliminates
 them into an echelon basis keyed by leading column, sparsest rows
-first.  ``rank`` is its pivot count.  Callers build the graded blocks
-and Ext matrices as dense int64 arrays, which are typically a few
-percent dense.
+first.  ``rank`` is its pivot count.  Two callers remain, both reading
+matrices of graded pieces as dense int64 arrays, which are typically a
+few percent dense: the cohomology oracle takes the rank of each Ext
+block, and truncation's generator trimming row-reduces the span of the
+one-variable shifts beside its candidate generators.
 """
 
 import numpy as np

@@ -4,8 +4,8 @@ For M = coker(relations) the standard monomials of a Groebner basis of
 the relation submodule form a basis of each graded piece, so once the
 basis is computed every piece and every multiplication map between
 pieces is plain linear algebra over F_p.  This is the workhorse behind
-Hilbert-function queries in bulk, generator trimming, and the Ext
-complexes of the cohomology oracle.
+Hilbert-function queries, generator trimming, and the Ext complexes of
+the cohomology oracle.
 
 Multiplication matrices are assembled from sparse blocks, one per
 (monomial, source degree).  A product of a basis monomial that is
@@ -173,3 +173,10 @@ class GradedPieces:
         if not blocks:
             return np.zeros((n, 0), dtype=np.int64)
         return np.hstack(blocks)
+
+
+def hilbert_function(M, d):
+    """dim_k of the degree-d piece of M = coker(relations): the number
+    of degree-d standard monomials of the relations' Groebner basis
+    (Macaulay's theorem), read from the presentation's shared pieces."""
+    return GradedPieces.of(M).dim(d)

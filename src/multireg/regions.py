@@ -16,7 +16,7 @@ Intersections of unions of orthants are again unions of orthants
 (componentwise maxima of generators), so the whole calculus is exact.
 """
 
-from .ringcore import _compositions, deg_leq, deg_max, deg_sub, deg_total
+from .ringcore import _compositions, deg_leq, deg_max, deg_total
 
 
 def _minimalize(points):
@@ -104,16 +104,6 @@ def region_Q(i, d):
     return region_L(i - 1, tuple(x - 1 for x in d))
 
 
-def positive_part_weight(v):
-    """Sum of the positive components."""
-    return sum(x for x in v if x > 0)
-
-
-def membership_by_positive_parts(i, d, b):
-    """The closed-form membership test for region_L(i, d)."""
-    return positive_part_weight(deg_sub(d, b)) <= i
-
-
 def region_intersect(A, B):
     if A.rank != B.rank:
         raise ValueError("regions of different ranks")
@@ -172,24 +162,28 @@ def _plot_box(region):
 def staircase_text(region):
     """ASCII staircase of a rank-2 region over its plot box: rows are
     the second coordinate (descending), '#' marks membership, 'o' the
-    minimal generators."""
+    minimal generators.  The footer gives each column's first
+    coordinate, and every cell is as wide as the widest of them."""
     lo, hi = _plot_box(region)
     gens = region.minimal_generators
     if not gens:
         return "(empty region)"
+    xs = range(lo[0], hi[0] + 1)
+    ys = range(hi[1], lo[1] - 1, -1)
+    w = max(len(str(x)) for x in xs)
+    yw = max(4, *(len(str(y)) for y in ys))
     lines = []
-    for y in range(hi[1], lo[1] - 1, -1):
+    for y in ys:
         row = []
-        for x in range(lo[0], hi[0] + 1):
+        for x in xs:
             if (x, y) in gens:
                 row.append("o")
             elif region.contains((x, y)):
                 row.append("#")
             else:
                 row.append(".")
-        lines.append(f"{y:>4} " + " ".join(row))
-    footer = "     " + " ".join(f"{x%10}" for x in range(lo[0], hi[0] + 1))
-    lines.append(footer)
+        lines.append(f"{y:>{yw}} " + " ".join(c.rjust(w) for c in row))
+    lines.append(" " * (yw + 1) + " ".join(str(x).rjust(w) for x in xs))
     return "\n".join(lines)
 
 

@@ -12,7 +12,6 @@ that equivalence is what ``is_d_regular`` implements, and what the
 cohomology oracle cross-checks from the other side.
 """
 
-import itertools
 import warnings
 
 from .errors import NotSaturatedError
@@ -20,7 +19,8 @@ from .groebner import colon_by_ideal, irrelevant_ideal, quotient_ring_dimension
 from .pieces import GradedPieces
 from .regions import Region, region_L, region_Q
 from .resolution import betti, free_resolution
-from .ringcore import Presentation, deg_leq, deg_neg
+from .ringcore import (Presentation, box_points, checked_box, deg_leq,
+                       deg_neg)
 from .truncation import truncate_module
 
 
@@ -147,14 +147,10 @@ def truncation_region(M, mode, box):
     """
     if mode not in ("L", "Q"):
         raise ValueError("mode must be 'L' or 'Q'")
-    lo, hi = tuple(box[0]), tuple(box[1])
     r = M.ring.r
-    if len(lo) != r or len(hi) != r:
-        raise ValueError(f"box {lo}..{hi} does not have rank {r}")
-    if not deg_leq(lo, hi):
-        raise ValueError("box lower corner must be <= upper corner")
+    lo, hi = checked_box(box, r)
     found = []
-    for d in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
+    for d in box_points((lo, hi)):
         if any(deg_leq(g, d) for g in found):
             continue
         if _truncation_verdict(M, d, mode):

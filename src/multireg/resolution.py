@@ -47,10 +47,6 @@ class FreeComplex:
     def ring(self):
         return self.terms[0].ring
 
-    @property
-    def length(self):
-        return len(self.terms) - 1
-
     def __repr__(self):
         ranks = " <- ".join(str(t.rank) for t in self.terms)
         return f"FreeComplex({ranks})"

@@ -21,10 +21,7 @@ module components go to the lower component index.
 
 from itertools import product as _iterproduct
 
-import numpy as np
-
 from .errors import InhomogeneousError, RingMismatchError
-from . import modp
 
 DEFAULT_PRIME = 32003
 
@@ -92,6 +89,23 @@ def checked_degree(d, r):
         raise ValueError(f"degree {d} has rank {len(d)}; the ring has "
                          f"rank {r}")
     return d
+
+
+def checked_box(box, r):
+    """The corners (lo, hi) of a degree box, after checking that both
+    have rank ``r`` and that lo <= hi."""
+    lo, hi = tuple(box[0]), tuple(box[1])
+    if len(lo) != r or len(hi) != r:
+        raise ValueError(f"box {lo}..{hi} does not have rank {r}")
+    if not deg_leq(lo, hi):
+        raise ValueError("box lower corner must be <= upper corner")
+    return lo, hi
+
+
+def box_points(box):
+    """Every degree of the box (lo, hi), in lexicographic order."""
+    lo, hi = box
+    return list(_iterproduct(*[range(a, b + 1) for a, b in zip(lo, hi)]))
 
 
 def deg_total(a):
@@ -390,20 +404,22 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        """self^k by repeated squaring: about 2 log2(k) products."""
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         out = Poly.one(self.ring)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def lead(self):
         """(monomial, coefficient) of the leading term; None when zero."""
         return self.terms[0] if self.terms else None
-
-    def is_homogeneous(self):
-        if not self.terms:
-            return True
-        d = self.ring.monomial_degree(self.terms[0][0])
-        return all(self.ring.monomial_degree(m) == d for m, _ in self.terms[1:])
 
     def degree(self):
         """Common multidegree of all terms; None for the zero
@@ -686,33 +702,6 @@ class MatrixOverS:
         cols = [self.apply(c) for c in other.columns]
         return MatrixOverS(other.source, self.target, cols, check=False)
 
-    def graded_block(self, d):
-        """The degree-d piece as a dense F_p matrix.
-
-        Rows index free_basis_of_degree(target, d); columns index pairs
-        (source column l, monomial of degree d - source.twists[l]).
-        Returns (matrix, row_basis, col_labels).
-        """
-        ring = self.ring
-        rows = free_basis_of_degree(self.target, d)
-        index = {cm: i for i, cm in enumerate(rows)}
-        cols = []
-        labels = []
-        p = ring.p
-        for l, col in enumerate(self.columns):
-            rel = deg_sub(d, self.source.twists[l])
-            for m in monomials_of_degree(ring, rel):
-                vec = np.zeros(len(rows), dtype=np.int64)
-                for (tot, mm, negc), c in col.terms:
-                    vec[index[(-negc, mono_mul(mm, m))]] = c % p
-                cols.append(vec)
-                labels.append((l, m))
-        if cols:
-            mat = np.stack(cols, axis=1)
-        else:
-            mat = np.zeros((len(rows), 0), dtype=np.int64)
-        return mat, rows, labels
-
     def __repr__(self):
         return (f"MatrixOverS({self.target.rank}x{self.source.rank} "
                 f"over {self.ring!r})")
@@ -760,13 +749,3 @@ class Presentation:
     def __repr__(self):
         return (f"Presentation(gens={list(self.F0.twists)}, "
                 f"rels={self.relations.source.rank})")
-
-
-def hilbert_function(M, d):
-    """dim_k of the degree-d piece of coker(relations), computed as the
-    rank deficiency of the degree-d block of the relation matrix."""
-    rows = free_basis_of_degree(M.F0, d)
-    if not rows:
-        return 0
-    block, _, _ = M.relations.graded_block(d)
-    return len(rows) - modp.rank(block, M.ring.p)

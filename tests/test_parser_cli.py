@@ -172,6 +172,34 @@ def test_cli_ci_regularity_degrees(capsys):
     assert data["minimal_generators"] == [[0, 2], [1, 1]]
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["region", "Q", "1", "-3,-12"], [
+        "minimal generators: [-4, -13]",
+        " -10  .  #  #  #  #",
+        " -11  .  #  #  #  #",
+        " -12  .  #  #  #  #",
+        " -13  .  o  #  #  #",
+        " -14  .  .  .  .  .",
+        "     -5 -4 -3 -2 -1",
+    ]),
+    (["ci-regularity", "--degrees", "1,1", "1,2"], [
+        "minimal generators: [0, 2], [1, 1]",
+        "   5  .  #  #  #  #  #",
+        "   4  .  #  #  #  #  #",
+        "   3  .  #  #  #  #  #",
+        "   2  .  o  #  #  #  #",
+        "   1  .  .  o  #  #  #",
+        "   0  .  .  .  .  .  .",
+        "     -1  0  1  2  3  4",
+    ]),
+], ids=["region", "ci-regularity"])
+def test_cli_staircase_footer(argv, want, capsys):
+    # the footer reads each column's coordinate, aligned with its cells
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == want
+
+
 def test_cli_betti_bounds(capsys):
     code, out, _ = _run(
         ["betti-bounds", str(DATA / "hyperelliptic.mr"), "--format",

@@ -1,16 +1,21 @@
-"""Multiplication matrices of graded pieces: their algebra, their
-agreement with full reduction, and their per-monomial cache."""
+"""Graded pieces: dimensions against the dense reference, and
+multiplication matrices (their algebra, their agreement with full
+reduction, and their per-monomial cache)."""
 
+import itertools
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from multireg import Poly, monomials_of_degree, parse_input, pieces
+from multireg import (Poly, RingSpec, hilbert_function, monomials_of_degree,
+                      parse_input, pieces, truncate_module)
 from multireg.groebner import _reduce_full
 from multireg.pieces import GradedPieces
 from multireg.ringcore import mono_mul, term_key
+
+from .conftest import dense_hilbert_function, saturated_corpus
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -27,6 +32,23 @@ def _random_form(ring, rng, d, nterms=3):
     for m in rng.sample(monomials_of_degree(ring, d), nterms):
         f = f + Poly.monomial(ring, m, rng.randint(1, ring.p - 1))
     return f
+
+
+def test_hilbert_function_matches_dense_reference():
+    """Standard monomials of the Groebner basis count dim M_d as the
+    dense rank of the relations' degree-d block does: on every data
+    file, its truncation at (1,...,1) and a seeded corpus, at every
+    degree of [-1,3]^r."""
+    modules = [parse_input(path.read_text()).module()
+               for path in sorted(DATA.glob("*.mr"))]
+    modules += [truncate_module(M, (1,) * M.ring.r) for M in modules]
+    modules += saturated_corpus(RingSpec((1, 1)), 20, 7)
+    modules += saturated_corpus(RingSpec((1, 2)), 8, 5)
+    mismatches = [
+        (M, d) for M in modules
+        for d in itertools.product(range(-1, 4), repeat=M.ring.r)
+        if hilbert_function(M, d) != dense_hilbert_function(M, d)]
+    assert mismatches == []
 
 
 @pytest.mark.parametrize("p", [32003, 2**61 - 1])

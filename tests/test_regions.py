@@ -15,11 +15,7 @@ from multireg import (
     region_subset,
     region_union,
 )
-from multireg.regions import (
-    membership_by_positive_parts,
-    staircase_svg,
-    staircase_text,
-)
+from multireg.regions import staircase_svg, staircase_text
 from multireg.resolution import BettiTable
 
 
@@ -81,6 +77,16 @@ def test_set_semantics():
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         region_intersect(Region(2, [(0, 0)]), Region(3, [(0, 0, 0)]))
+
+
+def positive_part_weight(v):
+    """Sum of the positive components."""
+    return sum(x for x in v if x > 0)
+
+
+def membership_by_positive_parts(i, d, b):
+    """The closed-form membership test for region_L(i, d)."""
+    return positive_part_weight(tuple(x - y for x, y in zip(d, b))) <= i
 
 
 def test_membership_criterion_equivalence():
@@ -162,7 +168,13 @@ def test_staircase_renderings():
         staircase_text(Region(3, [(0, 0, 0)]))
 
 
-def test_region_json():
-    js = Region(2, [(0, 1), (1, 0)]).to_json()
-    assert js["schema"] == "multireg/region/v1"
-    assert js["minimal_generators"] == [[0, 1], [1, 0]]
+def test_staircase_footer_reads_the_coordinates():
+    # a box crossing 10: every cell is as wide as the widest label
+    assert staircase_text(Region(2, [(8, 0)])) == "\n".join([
+        "   3  .  #  #  #  #",
+        "   2  .  #  #  #  #",
+        "   1  .  #  #  #  #",
+        "   0  .  o  #  #  #",
+        "  -1  .  .  .  .  .",
+        "      7  8  9 10 11",
+    ])

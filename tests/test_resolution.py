@@ -9,7 +9,6 @@ from multireg import (
     Presentation,
     betti,
     free_resolution,
-    hilbert_function,
     irrelevant_ideal,
     is_minimal_complex,
     koszul_complex,
@@ -17,33 +16,12 @@ from multireg import (
     parse_input,
     truncate_module,
 )
-from multireg import modp
 from multireg.resolution import FreeComplex
-from multireg.ringcore import free_basis_of_degree
 
-from .conftest import (SB_P12_BETTI, HYPERELLIPTIC_BETTI, pp,
-                       random_saturated_quotient)
+from .conftest import (SB_P12_BETTI, HYPERELLIPTIC_BETTI, check_exactness,
+                       pp, random_saturated_quotient)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
-
-
-def _check_exactness(C, M, box, positive_only=True):
-    """Degreewise rank identities: rank d_i + rank d_{i+1} spans each
-    middle term, and the Euler characteristic equals the Hilbert
-    function."""
-    p = C.ring.p
-    for d in box:
-        dims = [len(free_basis_of_degree(t, d)) for t in C.terms]
-        ranks = [modp.rank(diff.graded_block(d)[0], p)
-                 for diff in C.differentials]
-        for i in range(1, len(C.terms) - 1):
-            assert ranks[i - 1] + ranks[i] == dims[i], (d, i)
-        chi = 0
-        sign = 1
-        for dim in dims:
-            chi += sign * dim
-            sign = -sign
-        assert chi == hilbert_function(M, d), d
 
 
 def test_free_module_resolution(P12):
@@ -172,7 +150,7 @@ def test_minimalize_across_adjacent_differentials(P11):
     assert betti(mc).data == {(0, (0, 0)): 1, (1, (1, 0)): 2,
                               (2, (2, 0)): 1}
     M = Presentation.quotient_by_ideal(P11, [x0, x1])
-    _check_exactness(mc, M, list(itertools.product(range(4), repeat=2)))
+    check_exactness(mc, M, list(itertools.product(range(4), repeat=2)))
 
 
 def test_is_minimal_detects_units(P11):
@@ -196,13 +174,13 @@ def test_resolution_exactness_small(P11):
     M = Presentation.quotient_by_ideal(P11, gens)
     res = free_resolution(M)
     box = list(itertools.product(range(4), repeat=2))
-    _check_exactness(res, M, box)
+    check_exactness(res, M, box)
 
 
 def test_resolution_exactness_module(not_linear_module):
     res = free_resolution(not_linear_module)
     box = list(itertools.product(range(4), repeat=2))
-    _check_exactness(res, not_linear_module, box)
+    check_exactness(res, not_linear_module, box)
 
 
 def test_resolution_length_bound(P11, P12):
@@ -242,7 +220,7 @@ def test_overlong_frame_truncation(overlong_frame_module):
     T = truncate_module(overlong_frame_module, (3, 3))
     res = free_resolution(T)
     assert max(i for i, _ in betti(res).data) == 2
-    _check_exactness(res, T, list(itertools.product(range(3, 8), repeat=2)))
+    check_exactness(res, T, list(itertools.product(range(3, 8), repeat=2)))
 
 
 def _assert_no_gap(table, what):

@@ -106,9 +106,35 @@ def test_mixed_ring_rejected(P11, P12):
 
 def test_inhomogeneous_degree_raises(P11):
     f = pp(P11, "x0 + x0*x1")
-    assert not f.is_homogeneous()
     with pytest.raises(InhomogeneousError):
         f.degree()
+
+
+def test_power_by_squaring(P11, monkeypatch):
+    """A job file's x0^100000000 parses in about 2 log2(k) products,
+    not k of them."""
+    k = 100_000_000
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        # fail at once rather than run k products
+        assert len(calls) <= 2 * k.bit_length()
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    assert pp(P11, f"x0^{k}") == Poly.monomial(P11, (k, 0, 0, 0))
+
+
+def test_power_matches_repeated_products(P11):
+    f = pp(P11, "x0 + 2*x1 - y0")
+    g = Poly.one(P11)
+    for k in range(7):
+        assert f ** k == g, k
+        g = g * f
+    with pytest.raises(ValueError):
+        f ** -1
 
 
 def test_coefficient_field_arithmetic(P11):

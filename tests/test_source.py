@@ -3,26 +3,34 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "multireg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "multireg"
 
 
-def test_every_private_def_is_referenced():
-    """A private module-level or class-level function or class that no
-    name, attribute or import in the package refers to is dead code,
-    such as a helper left behind when its job moved elsewhere."""
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_every_def_is_referenced():
+    """A module-level or class-level function or class of the package
+    that no name, attribute or import in the package or its tests
+    refers to is dead code, such as a helper left behind when its job
+    moved elsewhere.  Dunder methods are called by the language."""
     defs = []
-    used = set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree = _tree(path)
         for scope in [tree] + [n for n in tree.body
                                if isinstance(n, ast.ClassDef)]:
             for node in scope.body:
                 if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                       ast.ClassDef))
-                        and node.name.startswith("_")
-                        and not node.name.endswith("__")):
+                        and not (node.name.startswith("__")
+                                 and node.name.endswith("__"))):
                     defs.append(f"{path.name}:{node.name}")
-        for node in ast.walk(tree):
+    used = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(
+            (ROOT / "tests").glob("*.py")):
+        for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -31,3 +39,18 @@ def test_every_private_def_is_referenced():
                 used.update((node.name, node.asname))
     assert defs
     assert [d for d in defs if d.split(":")[1] not in used] == []
+
+
+def test_ringcore_is_exact_arithmetic_only():
+    """Dense F_p linear algebra lives in modp and the graded pieces;
+    the ring layer imports neither numpy nor modp."""
+    imported = set()
+    for node in ast.walk(_tree(SRC / "ringcore.py")):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                imported.add(node.module.split(".")[0])
+            imported.update(a.name for a in node.names)
+    assert imported
+    assert not imported & {"numpy", "modp"}

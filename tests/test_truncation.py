@@ -16,10 +16,11 @@ from multireg import (
     truncation_region,
 )
 
+from multireg import modp
 from multireg.pieces import _SHARED, GradedPieces
 from multireg.truncation import _preimage_relations, _trim_generators
 
-from .conftest import HYPERELLIPTIC_TRUNC_21_BETTI, pp
+from .conftest import HYPERELLIPTIC_TRUNC_21_BETTI, graded_block, pp
 
 
 def test_truncate_free_at_zero(P11):
@@ -49,9 +50,8 @@ def test_truncate_free_image_is_truncation(P11):
     F = FreeModuleSpec(P11, ((0, 0), (1, -1)))
     d = (1, 1)
     G, inc = truncate_free(F, d)
-    from multireg import modp
     for e in itertools.product(range(3), repeat=2):
-        blk, rows, _ = inc.graded_block(e)
+        blk, rows = graded_block(inc, e)
         want = len(rows) if all(a >= b for a, b in zip(e, d)) else 0
         assert modp.rank(blk, P11.p) == want
 
