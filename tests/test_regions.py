@@ -178,3 +178,9 @@ def test_staircase_footer_reads_the_coordinates():
         "  -1  .  .  .  .  .",
         "      7  8  9 10 11",
     ])
+
+
+def test_region_json():
+    js = Region(2, [(0, 1), (1, 0)]).to_json()
+    assert js["schema"] == "multireg/region/v1"
+    assert js["minimal_generators"] == [[0, 1], [1, 0]]
