@@ -1,13 +1,17 @@
 """Exact sparse linear algebra over a prime field.
 
-One kernel: ``rref`` reads a dense matrix once into sparse rows of
-Python ints, so the arithmetic is exact for every prime, and eliminates
-them into an echelon basis keyed by leading column, sparsest rows
-first.  ``rank`` is its pivot count.  Two callers remain, both reading
-matrices of graded pieces as dense int64 arrays, which are typically a
-few percent dense: the cohomology oracle takes the rank of each Ext
-block, and truncation's generator trimming row-reduces the span of the
-one-variable shifts beside its candidate generators.
+One kernel: ``_echelon`` eliminates sparse rows of Python ints, so the
+arithmetic is exact for every prime, into an echelon basis keyed by
+leading column, sparsest rows first.  Two entries feed it.  ``rref``
+reads a dense matrix once into such rows and back-substitutes the
+basis; ``rank`` is its pivot count.  ``rank_rows`` takes the sparse
+rows themselves and counts the basis.  Three callers remain.  The
+cohomology oracle takes the ``rank`` of each Ext block, and
+truncation's generator trimming runs ``rref`` on the span of the
+one-variable shifts beside its candidate generators; both hand over
+dense int64 arrays of graded pieces, which are typically a few percent
+dense.  The graded pieces' Koszul homology assembles its differentials
+as sparse rows and takes their ``rank_rows``.
 """
 
 import numpy as np
@@ -21,6 +25,23 @@ def _axpy(row, f, other, p):
             row[j] = x
         else:
             del row[j]
+
+
+def _echelon(rows, p):
+    """Echelon basis {leading column: row with leading entry 1} of the
+    span of the sparse rows {column: residue in [1, p)}, reducing each
+    row in place, sparsest first."""
+    echelon = {}
+    for row in sorted(rows, key=len):
+        while row:
+            c = min(row)
+            lead = echelon.get(c)
+            if lead is None:
+                inv = pow(row[c], -1, p)
+                echelon[c] = {j: v * inv % p for j, v in row.items()}
+                break
+            _axpy(row, -row[c], lead, p)
+    return echelon
 
 
 def rref(A, p):
@@ -40,16 +61,7 @@ def rref(A, p):
         v = int(v) % p
         if v:
             rows[i][j] = v
-    echelon = {}
-    for row in sorted(rows, key=len):
-        while row:
-            c = min(row)
-            lead = echelon.get(c)
-            if lead is None:
-                inv = pow(row[c], -1, p)
-                echelon[c] = {j: v * inv % p for j, v in row.items()}
-                break
-            _axpy(row, -row[c], lead, p)
+    echelon = _echelon(rows, p)
     pivots = sorted(echelon)
     # back-substitute from the last pivot up: every row used is reduced
     for c in reversed(pivots):
@@ -64,3 +76,14 @@ def rref(A, p):
 
 def rank(A, p):
     return len(rref(A, p)[1])
+
+
+def rank_rows(rows, p):
+    """Rank over F_p of the matrix whose rows are the sparse dicts
+    {column: residue in [1, p)} of ``rows`` (an empty dict is a zero
+    row; no row means rank 0).
+
+    The rows are consumed: elimination reduces them in place, so a
+    caller that needs them afterwards passes copies.
+    """
+    return len(_echelon(rows, p))

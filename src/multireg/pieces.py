@@ -8,21 +8,25 @@ Hilbert-function queries, generator trimming, and the Ext complexes of
 the cohomology oracle.
 
 Multiplication matrices are assembled from sparse blocks, one per
-(monomial, source degree).  A product of a basis monomial that is
+(monomial, source degree); the Koszul homology of a truncation reads
+the same blocks as sparse rows.  A product of a basis monomial that is
 itself a basis monomial is a unit entry; only the other products take
 a normal form, and the Groebner basis memoizes those per term, so the
 long reduction chains of high powers are walked once per module, not
 once per degree and power that meets them.
 """
 
+import itertools
 import weakref
 
 import numpy as np
 
+from . import modp
 from .groebner import buchberger, normal_form
 from .ringcore import (
     Poly,
     Vector,
+    checked_degree,
     deg_add,
     deg_leq,
     deg_sub,
@@ -132,6 +136,67 @@ class GradedPieces:
                np.array(vals, dtype=np.int64), (len(tgt), len(src)))
         self._blocks[key] = got
         return got
+
+    def _image_rows(self, m, d, offset=0, negate=False):
+        """Multiplication by the monomial m (negated when asked) from
+        the degree-d piece, as one sparse row {offset + target index:
+        residue} per source basis element."""
+        rows, cols, vals, (_, n) = self._block(m, d)
+        p = self.ring.p
+        out = [{} for _ in range(n)]
+        for i, j, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            out[j][offset + i] = p - v if negate else v
+        return out
+
+    def koszul_h1_dim(self, b, lower_bound):
+        """dim_k Tor_1(M_{>=d}, k)_b for d = lower_bound: the number of
+        minimal relations of degree b of the truncation of M at d.
+
+        Tor_1(N, k) is the first homology of the Koszul complex
+        K(x) (x) N, and for N = M_{>=d} its degree-b part reads only the
+        pieces M_c with d <= c <= b.  So the count is
+        dim K_1 - rank d_1 - rank d_2, where K_i is the sum of
+        M_{b - deg x_S} over the i-subsets S of the variables whose
+        source degree stays >= d, d_1(e_v m) = x_v m and
+        d_2(e_v ^ e_w m) = x_w m e_v - x_v m e_w.  Both differentials
+        are sparse rows from the cached multiplication blocks (a rank
+        is a rank of the transpose), and d_2 is skipped when d_1 is
+        injective.
+
+        Why a nonzero count in a degree b not <= d + (1,...,1) rules d
+        out: it is the Betti number beta_{1,b} of M_{>=d}, so -b is a
+        twist at index 1 of the minimal resolution.  region_Q(1, -d) =
+        region_L(0, -d - (1,...,1)) is the orthant of the c with
+        c >= -d - (1,...,1), which does not hold -b, and region_L(1, -d)
+        lies inside region_Q(1, -d).  The resolution is then neither
+        quasilinear nor linear, and d is not in either truncation
+        region.
+        """
+        ring = self.ring
+        d = checked_degree(lower_bound, ring.r)
+        b = checked_degree(b, ring.r)
+        p = ring.p
+        xs = [tuple(int(k == v) for k in range(ring.nvars))
+              for v in range(ring.nvars)]
+        offset, d1 = {}, []
+        for v, x in enumerate(xs):
+            c = deg_sub(b, ring.monomial_degree(x))
+            if deg_leq(d, c):
+                offset[v] = len(d1)
+                d1 += self._image_rows(x, c)
+        kernel = len(d1) - modp.rank_rows(d1, p)
+        if not kernel:
+            return 0
+        d2 = []
+        for v, w in itertools.combinations(offset, 2):
+            c = deg_sub(b, ring.monomial_degree(mono_mul(xs[v], xs[w])))
+            if deg_leq(d, c):
+                rows = self._image_rows(xs[w], c, offset[v])
+                for row, other in zip(rows, self._image_rows(
+                        xs[v], c, offset[w], negate=True)):
+                    row.update(other)
+                d2 += rows
+        return kernel - modp.rank_rows(d2, p)
 
     def mult_matrix(self, f, d):
         """Matrix of multiplication by homogeneous nonzero f from the

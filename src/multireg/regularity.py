@@ -10,6 +10,17 @@ vanishing of the Maclagan--Smith region) holds exactly when the
 truncation at d has a quasilinear resolution generated in degree d;
 that equivalence is what ``is_d_regular`` implements, and what the
 cohomology oracle cross-checks from the other side.
+
+Most degrees fail already at homological index 1, and that can be seen
+without building the truncation.  A minimal relation of M_{>=d} in a
+degree b not <= d + (1,...,1) is a twist -b outside region_Q(1, -d),
+and region_L(1, -d) lies inside that orthant, so it breaks both
+conditions.  The minimal relations of degree b are Tor_1(M_{>=d}, k)_b,
+the Koszul homology that ``GradedPieces.koszul_h1_dim`` reads from the
+pieces M_c with d <= c <= b.  So a verdict first tests every b in
+[d, d+2]^r outside [d, d+1]^r, lowest total degree first, and rejects
+d at the first nonzero count; only a degree that passes is truncated
+and resolved.
 """
 
 import warnings
@@ -19,8 +30,8 @@ from .groebner import colon_by_ideal, irrelevant_ideal, quotient_ring_dimension
 from .pieces import GradedPieces
 from .regions import Region, region_L, region_Q
 from .resolution import betti, free_resolution
-from .ringcore import (Presentation, box_points, checked_box, deg_leq,
-                       deg_neg)
+from .ringcore import (Presentation, box_points, checked_box,
+                       checked_degree, deg_add, deg_leq, deg_neg, deg_total)
 from .truncation import truncate_module
 
 
@@ -118,7 +129,6 @@ def is_d_regular(M, d):
     resolution of the truncation at d is quasilinear and generated in
     the single degree d.
     """
-    d = tuple(d)
     if not module_is_saturated_at_zero(M):
         raise NotSaturatedError(
             "module has irrelevant torsion; the truncation criterion "
@@ -127,6 +137,15 @@ def is_d_regular(M, d):
 
 
 def _truncation_verdict(M, d, mode):
+    d = checked_degree(d, M.ring.r)
+    pieces = GradedPieces.of(M)
+    one = (1,) * len(d)
+    top = deg_add(d, one)
+    outside = [b for b in box_points((d, deg_add(top, one)))
+               if not deg_leq(b, top)]
+    for b in sorted(outside, key=lambda b: (deg_total(b), b)):
+        if pieces.koszul_h1_dim(b, d):
+            return False
     table = betti(free_resolution(truncate_module(M, d)))
     if not table.data:
         return True

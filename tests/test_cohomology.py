@@ -12,6 +12,7 @@ from multireg import (
     free_resolution,
     hilbert_function,
     irrelevant_ideal,
+    is_d_regular,
     line_bundle_cohomology,
     local_cohomology_box,
     region_Q,
@@ -198,9 +199,11 @@ def test_required_corners_and_box_too_small(P11):
     # i <= 1 answers 0 without reading the degree
     lambda M, d: structure_sheaf_local_cohomology(M.ring, 1, d),
     lambda M, d: local_cohomology_box(M, ((0, 0), (0, 0))).dim(1, d),
+    # the index-1 Koszul test runs before any truncation checks d
+    lambda M, d: is_d_regular(M, d),
 ], ids=["hilbert_function", "graded_pieces", "local_cohomology_box",
         "definition_check", "truncate_free", "count_monomials",
-        "structure_sheaf", "table_dim"])
+        "structure_sheaf", "table_dim", "is_d_regular"])
 def test_wrong_rank_degree_rejected(not_linear_module, call, degree):
     # zip in the degree arithmetic would drop or miss a coordinate
     with pytest.raises(ValueError, match=re.escape(str(degree))):

@@ -63,3 +63,33 @@ def test_rref_zero_column_gaps():
     assert piv == [1, 4]
     assert R.tolist() == [[0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
     _check_rref(A, p, 2)
+
+
+def _sparse_rows(A, p):
+    return [{j: int(v) % p for j, v in enumerate(row) if int(v) % p}
+            for row in A.tolist()]
+
+
+@pytest.mark.parametrize("p", [32003, 2 ** 61 - 1])
+def test_rank_rows_agrees_with_rank(p):
+    """The sparse-row entry and the dense one share the echelon core:
+    equal ranks on random sparse matrices of every rank, with zero rows
+    mixed in, and on inputs with no rows or no columns."""
+    rng = np.random.default_rng(p % 997)
+    for _ in range(40):
+        m, n = (int(x) for x in rng.integers(1, 30, 2))
+        r = int(rng.integers(0, min(m, n) + 1))
+        # sparse factors: about one entry in four is nonzero
+        B = rng.integers(0, 2 ** 62, (m, r)).astype(object) % p
+        B[rng.random((m, r)) < 0.75] = 0
+        C = rng.integers(0, 2 ** 62, (r, n)).astype(object) % p
+        C[rng.random((r, n)) < 0.75] = 0
+        A = B.dot(C) % p
+        A[rng.random(m) < 0.2] = 0
+        A[int(rng.integers(m))] = 0
+        assert modp.rank_rows(_sparse_rows(A, p), p) == modp.rank(A, p)
+    assert modp.rank_rows([], p) == 0
+    assert modp.rank_rows([{}, {}], p) == 0
+    for shape in [(0, 5), (4, 0)]:
+        A = np.zeros(shape, dtype=np.int64)
+        assert modp.rank_rows(_sparse_rows(A, p), p) == modp.rank(A, p) == 0

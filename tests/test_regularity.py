@@ -1,6 +1,7 @@
 import itertools
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from multireg import (
     local_cohomology_box,
     module_is_saturated_at_zero,
     multigraded_regularity,
+    parse_input,
     region_subset,
     truncate_module,
     truncation_region,
@@ -30,9 +32,13 @@ from multireg import (
 from multireg.cohomology import required_corners
 from multireg import regularity
 from multireg.groebner import colon_by_ideal
+from multireg.pieces import GradedPieces
 from multireg.regularity import BoxBoundaryWarning, _truncation_verdict
+from multireg.ringcore import deg_leq
 
 from .conftest import pp, saturated_corpus
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_classify_sb_quasilinear(P12):
@@ -135,6 +141,62 @@ def test_truncation_region_golden(hyperelliptic_module):
     assert L.minimal_generators == ((1, 5), (2, 2), (5, 1))
     assert Q.minimal_generators == ((1, 5), (2, 2), (4, 1))
     assert region_subset(L, Q)
+
+
+@pytest.mark.parametrize("name, mode, box, golden, truncations", [
+    ("hyperelliptic.mr", "Q", ((0, 0), (9, 9)),
+     ((1, 5), (2, 2), (4, 1)), 3),
+    ("hyperelliptic.mr", "L", ((0, 0), (9, 9)),
+     ((1, 5), (2, 2), (5, 1)), 4),
+    ("not_linear.mr", "Q", ((0, 0), (3, 3)), ((1, 0),), 5),
+    ("two_points.mr", "Q", ((0, 0, 0), (3, 3, 3)),
+     ((0, 0, 1), (0, 1, 0), (1, 0, 0)), 3),
+    ("ci_surface.mr", "Q", ((0, 0), (4, 4)), ((0, 2), (1, 1)), 3),
+], ids=["hyperelliptic_Q", "hyperelliptic_L", "not_linear", "two_points",
+        "ci_surface"])
+def test_sweep_truncations_after_index_one_reject(
+        monkeypatch, name, mode, box, golden, truncations):
+    """The Koszul test at index 1 rejects most points of a sweep, so
+    only the rest build a truncation; the region is the golden one."""
+    built = []
+
+    def counting_truncate(M, d):
+        built.append(d)
+        return truncate_module(M, d)
+
+    monkeypatch.setattr(regularity, "truncate_module", counting_truncate)
+    M = parse_input((DATA / name).read_text()).module()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", BoxBoundaryWarning)
+        R = truncation_region(M, mode, box)
+    assert (R.minimal_generators, len(built)) == (golden, truncations)
+
+
+def test_koszul_h1_is_the_truncations_index_one_betti(P11, P12):
+    """At every b of [d, d+2]^r, d in [0,3]^r, the Koszul count equals
+    the index-1 Betti number of the truncation's minimal resolution, on
+    every data file and two seeded corpora; and no point the truncation
+    route accepts has a nonzero count outside [d, d+1]^r, so the reject
+    never removes a regular point."""
+    modules = [parse_input(path.read_text()).module()
+               for path in sorted(DATA.glob("*.mr"))]
+    modules += saturated_corpus(P11, 38, 20240601)
+    modules += saturated_corpus(P12, 12, 5)
+    rejected = 0
+    for M in modules:
+        pieces = GradedPieces.of(M)
+        for d in itertools.product(range(4), repeat=M.ring.r):
+            table = betti(free_resolution(truncate_module(M, d)))
+            v = classify_resolution(table)
+            regular = not table or (v.is_quasilinear and v.gen_degree == d)
+            top = tuple(x + 1 for x in d)
+            for b in itertools.product(*[range(x, x + 3) for x in d]):
+                h1 = pieces.koszul_h1_dim(b, d)
+                assert h1 == table.multiplicity(1, b), (M.ring.n, d, b)
+                if h1 and not deg_leq(b, top):
+                    assert not regular, (M.ring.n, d, b)
+                    rejected += 1
+    assert rejected
 
 
 def test_overlong_frame_region_agrees_with_definition(

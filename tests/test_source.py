@@ -41,11 +41,10 @@ def test_every_def_is_referenced():
     assert [d for d in defs if d.split(":")[1] not in used] == []
 
 
-def test_ringcore_is_exact_arithmetic_only():
-    """Dense F_p linear algebra lives in modp and the graded pieces;
-    the ring layer imports neither numpy nor modp."""
+def _imports(name):
+    """Top-level modules and imported names of one package module."""
     imported = set()
-    for node in ast.walk(_tree(SRC / "ringcore.py")):
+    for node in ast.walk(_tree(SRC / name)):
         if isinstance(node, ast.Import):
             imported.update(a.name.split(".")[0] for a in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -53,4 +52,17 @@ def test_ringcore_is_exact_arithmetic_only():
                 imported.add(node.module.split(".")[0])
             imported.update(a.name for a in node.names)
     assert imported
-    assert not imported & {"numpy", "modp"}
+    return imported
+
+
+def test_ringcore_is_exact_arithmetic_only():
+    """Dense F_p linear algebra lives in modp and the graded pieces;
+    the ring layer imports neither numpy nor modp."""
+    assert not _imports("ringcore.py") & {"numpy", "modp"}
+
+
+def test_regularity_leaves_linear_algebra_to_pieces():
+    """The region sweep asks the graded pieces for Koszul homology:
+    the assembly of its matrices stays in pieces and the elimination
+    in modp, so regularity imports neither numpy nor modp."""
+    assert not _imports("regularity.py") & {"numpy", "modp"}
