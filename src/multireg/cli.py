@@ -2,7 +2,8 @@
 
 Subcommands operate on job files (see parser) or on literal degree
 arguments, print text by default, and emit versioned JSON with
---format=json; rank-2 regions can also be written as SVG staircases.
+--format=json; the subcommands whose answer is a region can also write
+a rank-2 one as an SVG staircase (--format svg, --output).
 Exit codes: 0 on success, 1 on a computation error (for example a
 module with irrelevant torsion where the truncation criterion was
 requested), 2 on a parse error, 141 (128 + SIGPIPE, as a shell reports
@@ -79,6 +80,9 @@ def _emit(args, payload, text_renderer):
 
 def _render_region(args, region, warnings_seen=()):
     if args.format == "svg":
+        if region.rank != 2:
+            raise ParseError(f"--format svg draws rank-2 regions; this "
+                             f"region has rank {region.rank}")
         svg = staircase_svg(region)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -286,7 +290,7 @@ def cmd_saturate(args):
     return 0
 
 
-def _add_common(sub, file_arg=True, truncate=False):
+def _add_common(sub, file_arg=True, truncate=False, region=False):
     if file_arg:
         sub.add_argument("file", help="job file (.mr)")
         sub.add_argument("--prime", type=int, default=None,
@@ -294,10 +298,13 @@ def _add_common(sub, file_arg=True, truncate=False):
     if truncate:
         sub.add_argument("--truncate-at", default=None, metavar="d1,d2",
                          help="work with the truncation at this degree")
-    sub.add_argument("--format", choices=("text", "json", "svg"),
-                     default="text")
-    sub.add_argument("--output", default=None,
-                     help="path for svg output")
+    # only a subcommand whose answer is a region draws it
+    sub.add_argument("--format", default="text",
+                     choices=("text", "json", "svg") if region
+                     else ("text", "json"))
+    if region:
+        sub.add_argument("--output", default=None,
+                         help="path for svg output")
 
 
 def build_parser():
@@ -323,7 +330,7 @@ def build_parser():
 
     s = sub.add_parser("regularity",
                        help="minimal elements of the regularity region")
-    _add_common(s)
+    _add_common(s, region=True)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
     s.set_defaults(fn=cmd_region_search,
                    search=lambda args, M, box: multigraded_regularity(M, box))
@@ -331,7 +338,7 @@ def build_parser():
     s = sub.add_parser("linear-truncations",
                        help="degrees with linear (or quasilinear) "
                             "truncations")
-    _add_common(s)
+    _add_common(s, region=True)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
     s.add_argument("--mode", choices=("L", "Q"), default="L")
     s.set_defaults(fn=cmd_region_search,
@@ -351,14 +358,14 @@ def build_parser():
     s.add_argument("--prime", type=int, default=None)
     s.add_argument("--degrees", nargs="*", default=None, metavar="d1,d2",
                    help="skip the file and give generator degrees directly")
-    _add_common(s, file_arg=False)
+    _add_common(s, file_arg=False, region=True)
     s.set_defaults(fn=cmd_ci_regularity)
 
     s = sub.add_parser("region", help="print a staircase region L or Q")
     s.add_argument("kind", choices=("L", "Q"))
     s.add_argument("level", type=int)
     s.add_argument("degree", metavar="d1,d2")
-    _add_common(s, file_arg=False)
+    _add_common(s, file_arg=False, region=True)
     s.set_defaults(fn=cmd_region)
 
     s = sub.add_parser("cohomology",

@@ -30,6 +30,7 @@ import numpy as np
 from . import modp
 from .errors import BoxTooSmall, StabilizationNotReached
 from .pieces import GradedPieces
+from .regions import Region
 from .resolution import FreeComplex
 from .ringcore import (
     FreeModuleSpec,
@@ -345,17 +346,10 @@ def check_regularity_by_definition(M, d, table=None):
         raise BoxTooSmall(
             f"box {lo}..{hi} misses required corners {missing[:4]}",
             missing=missing)
-    points = box_points((lo, hi))
-    # bottom group: vanishing on the unit-shifted orthants
-    for j in range(ring.r):
-        base = deg_add(d, unit_degree(ring.r, j))
-        for pdeg in points:
-            if deg_leq(base, pdeg) and table.dim(0, pdeg):
-                return False
-    # higher groups: vanishing on the capped staircase regions
-    for i in range(1, table.max_index + 1):
-        corners_i = _capped_level_corners(d, ring.n, i - 1)
-        for pdeg in points:
-            if any(deg_leq(c, pdeg) for c in corners_i) and table.dim(i, pdeg):
-                return False
-    return True
+    # the bottom group vanishes on the unit-shifted orthants, each
+    # higher group on its capped staircase region
+    vanishing = [Region(ring.r, [deg_add(d, unit_degree(ring.r, j))
+                                 for j in range(ring.r)])]
+    vanishing += [Region(ring.r, _capped_level_corners(d, ring.n, i - 1))
+                  for i in range(1, table.max_index + 1)]
+    return not any(vanishing[i].contains(pdeg) for i, pdeg in table.nonzero())

@@ -4,12 +4,18 @@ For M = coker(relations) the standard monomials of a Groebner basis of
 the relation submodule form a basis of each graded piece, so once the
 basis is computed every piece and every multiplication map between
 pieces is plain linear algebra over F_p.  This is the workhorse behind
-Hilbert-function queries, generator trimming, and the Ext complexes of
-the cohomology oracle.
+Hilbert-function queries, the Koszul homology of truncations, and the
+Ext complexes of the cohomology oracle.
+
+The Koszul complex K(x) (x) M_{>=d} in degree b has one summand
+M_{b - deg x_S} per subset S of the variables whose source degree is
+>= d; ``GradedPieces._koszul_terms`` alone lists them.  Generator
+trimming reads H_0 from the dense d_1 (``variable_step_span``), and the
+region sweep reads H_1 from sparse rows of d_1 and d_2
+(``koszul_h1_dim``).
 
 Multiplication matrices are assembled from sparse blocks, one per
-(monomial, source degree); the Koszul homology of a truncation reads
-the same blocks as sparse rows.  A product of a basis monomial that is
+(monomial, source degree).  A product of a basis monomial that is
 itself a basis monomial is a unit entry; only the other products take
 a normal form, and the Groebner basis memoizes those per term, so the
 long reduction chains of high powers are walked once per module, not
@@ -148,6 +154,20 @@ class GradedPieces:
             out[j][offset + i] = p - v if negate else v
         return out
 
+    def _koszul_terms(self, k, b, lower_bound):
+        """The summands of K_k (x) M_{>=d} in degree b, for d =
+        lower_bound: (S, x_S, b - deg x_S) for each k-subset S of the
+        variables, in lexicographic order, whose source degree
+        b - deg x_S is >= d.  Truncation at d keeps exactly these
+        pieces M_{b - deg x_S}, whatever the signs of their
+        coordinates."""
+        ring = self.ring
+        for S in itertools.combinations(range(ring.nvars), k):
+            x = tuple(int(v in S) for v in range(ring.nvars))
+            c = deg_sub(b, ring.monomial_degree(x))
+            if deg_leq(lower_bound, c):
+                yield S, x, c
+
     def koszul_h1_dim(self, b, lower_bound):
         """dim_k Tor_1(M_{>=d}, k)_b for d = lower_bound: the number of
         minimal relations of degree b of the truncation of M at d.
@@ -155,9 +175,8 @@ class GradedPieces:
         Tor_1(N, k) is the first homology of the Koszul complex
         K(x) (x) N, and for N = M_{>=d} its degree-b part reads only the
         pieces M_c with d <= c <= b.  So the count is
-        dim K_1 - rank d_1 - rank d_2, where K_i is the sum of
-        M_{b - deg x_S} over the i-subsets S of the variables whose
-        source degree stays >= d, d_1(e_v m) = x_v m and
+        dim K_1 - rank d_1 - rank d_2 over the summands of
+        ``_koszul_terms``, with d_1(e_v m) = x_v m and
         d_2(e_v ^ e_w m) = x_w m e_v - x_v m e_w.  Both differentials
         are sparse rows from the cached multiplication blocks (a rank
         is a rank of the transpose), and d_2 is skipped when d_1 is
@@ -176,67 +195,46 @@ class GradedPieces:
         d = checked_degree(lower_bound, ring.r)
         b = checked_degree(b, ring.r)
         p = ring.p
-        xs = [tuple(int(k == v) for k in range(ring.nvars))
-              for v in range(ring.nvars)]
-        offset, d1 = {}, []
-        for v, x in enumerate(xs):
-            c = deg_sub(b, ring.monomial_degree(x))
-            if deg_leq(d, c):
-                offset[v] = len(d1)
-                d1 += self._image_rows(x, c)
+        # both faces of a K_2 summand are K_1 summands: c >= d gives
+        # c + deg x_w >= d
+        at, d1 = {}, []
+        for (v,), x, c in self._koszul_terms(1, b, d):
+            at[v] = (len(d1), x)
+            d1 += self._image_rows(x, c)
         kernel = len(d1) - modp.rank_rows(d1, p)
         if not kernel:
             return 0
         d2 = []
-        for v, w in itertools.combinations(offset, 2):
-            c = deg_sub(b, ring.monomial_degree(mono_mul(xs[v], xs[w])))
-            if deg_leq(d, c):
-                rows = self._image_rows(xs[w], c, offset[v])
-                for row, other in zip(rows, self._image_rows(
-                        xs[v], c, offset[w], negate=True)):
-                    row.update(other)
-                d2 += rows
+        for (v, w), _, c in self._koszul_terms(2, b, d):
+            (ov, xv), (ow, xw) = at[v], at[w]
+            rows = self._image_rows(xw, c, ov)
+            for row, other in zip(rows, self._image_rows(xv, c, ow,
+                                                         negate=True)):
+                row.update(other)
+            d2 += rows
         return kernel - modp.rank_rows(d2, p)
 
     def mult_matrix(self, f, d):
-        """Matrix of multiplication by homogeneous nonzero f from the
-        degree-d piece to the degree d + deg(f) piece, in standard
-        bases: the sum of its terms' monomial blocks, scaled."""
-        # one term is homogeneous; degree() rejects zero and mixed forms
-        if len(f.terms) != 1 and f.degree() is None:
-            raise ValueError("multiplication by zero has no degree")
-        d = tuple(d)
-        p = self.ring.p
-        A = None
-        for m, c in f.terms:
-            rows, cols, vals, shape = self._block(m, d)
-            vals = _scaled(vals, c, p)
-            if A is None:
-                A = np.zeros(shape, dtype=np.int64)
-                A[rows, cols] = vals
-            else:
-                A[rows, cols] = (A[rows, cols] + vals) % p
+        """Matrix of multiplication by the term f = c*m from the
+        degree-d piece to the degree d + deg(m) piece, in standard
+        bases: m's cached block, scaled by c."""
+        if len(f.terms) != 1:
+            raise ValueError("mult_matrix multiplies by one nonzero term")
+        (m, c), = f.terms
+        rows, cols, vals, shape = self._block(m, tuple(d))
+        A = np.zeros(shape, dtype=np.int64)
+        A[rows, cols] = _scaled(vals, c, self.ring.p)
         return A
 
     def variable_step_span(self, e, lower_bound):
-        """Columns spanning the images of all one-variable
-        multiplications M_{e - e_i} -> M_e from pieces whose degree
-        stays componentwise >= lower_bound."""
-        ring = self.ring
-        blocks = []
-        for v in range(ring.nvars):
-            dv = tuple(1 if ring.var_factor[v] == i else 0
-                       for i in range(ring.r))
-            src_deg = deg_sub(e, dv)
-            if any(x < 0 for x in src_deg):
-                continue
-            if not deg_leq(lower_bound, src_deg):
-                continue
-            f = Poly.variable(ring, v)
-            blocks.append(self.mult_matrix(f, src_deg))
-        n = self.dim(e)
+        """Columns spanning the image of d_1: K_1 (x) M_{>=d} -> M_{>=d}
+        in degree e, for d = lower_bound: one ``mult_matrix`` block per
+        summand of ``_koszul_terms``.  Its cokernel is H_0, the minimal
+        generators of the truncation in degree e."""
+        blocks = [self.mult_matrix(Poly.monomial(self.ring, x), c)
+                  for _, x, c in self._koszul_terms(1, e, lower_bound)]
         if not blocks:
-            return np.zeros((n, 0), dtype=np.int64)
+            return np.zeros((self.dim(e), 0), dtype=np.int64)
         return np.hstack(blocks)
 
 

@@ -2,7 +2,7 @@
 name and reads some of their arguments by position.  Resolving its
 layer table here makes a rename or a signature change fail in the fast
 suite instead of only in the slow benchmark tests, and a small traced
-run checks that the oracle and the region sweep still call every layer
+run checks that the oracle and the region sweeps still call every layer
 the benchmark's self-test (bench/test_bench.py) expects of them."""
 
 import ast
@@ -61,16 +61,20 @@ def test_bench_layers_resolve():
 def test_small_traced_runs_call_the_exercised_layers():
     """The oracle on a small box, traced, calls every layer
     bench/test_bench.py requires of the oracle workload, and with one
-    region sweep added every layer it requires of crosscheck.  Each
-    run takes a fresh module, so nothing is cached."""
+    region sweep added every layer it requires of crosscheck.  A
+    regularity sweep alone calls every layer it requires of sweep.
+    Each run takes a fresh module, so nothing is cached."""
     layers = _load_layers()
     exercised = _exercised()
     text = (ROOT / "data" / "not_linear.mr").read_text()
-    for workload in ("oracle", "crosscheck"):
+    for workload in ("oracle", "crosscheck", "sweep"):
         M = parse_input(text).module()
         with layers.Tracer() as tr, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            cohomology.local_cohomology_box(M, ((-1, -1), (1, 1)))
+            if workload == "sweep":
+                regularity.multigraded_regularity(M, ((0, 0), (1, 1)))
+            else:
+                cohomology.local_cohomology_box(M, ((-1, -1), (1, 1)))
             if workload == "crosscheck":
                 regularity.truncation_region(M, "Q", ((0, 0), (1, 1)))
         for layer in exercised[workload]:

@@ -226,6 +226,28 @@ def test_cli_svg(tmp_path, capsys):
     assert target.read_text().startswith("<svg")
 
 
+def test_cli_svg_only_where_a_region_is_drawn(tmp_path):
+    """A subcommand whose answer is not a region has no svg format and
+    no --output: argparse stops with exit 2 and writes no file."""
+    target = tmp_path / "x.svg"
+    for extra in (["--format", "svg"], ["--output", str(target)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["betti", str(DATA / "not_linear.mr")] + extra)
+        assert exc.value.code == 2
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "Q", "1", "1,1,1"],
+    ["regularity", "--box", "0,0,0:1,1,1", str(DATA / "two_points.mr")],
+])
+def test_cli_svg_of_a_region_not_of_rank_two(argv, capsys):
+    code, out, err = _run(argv + ["--format", "svg"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "rank-2" in err and "rank 3" in err
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.mr"
     bad.write_text("ring p=32003 n=[0]\nideal x0\n")

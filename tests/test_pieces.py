@@ -1,5 +1,5 @@
 """Graded pieces: dimensions against the dense reference, and
-multiplication matrices (their algebra, their agreement with full
+multiplication matrices (their scaling, their agreement with full
 reduction, and their per-monomial cache)."""
 
 import itertools
@@ -53,15 +53,16 @@ def test_hilbert_function_matches_dense_reference():
 
 @pytest.mark.parametrize("p", [32003, 2**61 - 1])
 def test_mult_matrix_is_linear_in_f(p):
-    """Scaling f scales its matrix and a sum of forms has the sum of
-    their matrices, mod p; every column is the full reduction of the
-    product."""
+    """Scaling a term scales its matrix mod p, and every column is the
+    full reduction of the product; a zero or multi-term f, which has
+    no single block, is rejected."""
     M = _hyperelliptic(p)
     ring = M.ring
     gp = GradedPieces(M)
     elements = [g.terms for g in gp.gb.elements]
     rng = random.Random(5)
     for d, e in [((0, 3), (1, 1)), ((2, 2), (1, 2)), ((1, 5), (2, 0))]:
+        tgt = gp.basis(tuple(a + b for a, b in zip(d, e)))
         for m in rng.sample(monomials_of_degree(ring, e), 2):
             c = rng.randint(2, p - 1)
             A = gp.mult_matrix(Poly.monomial(ring, m), d)
@@ -69,19 +70,16 @@ def test_mult_matrix_is_linear_in_f(p):
                                                  d),
                                   np.array([int(a) * c % p for a in A.flat],
                                            dtype=np.int64).reshape(A.shape))
-        f, g = _random_form(ring, rng, e), _random_form(ring, rng, e)
-        F = gp.mult_matrix(f, d)
-        assert np.array_equal(gp.mult_matrix(f + g, d),
-                              (F + gp.mult_matrix(g, d)) % p)
-        tgt = gp.basis(tuple(a + b for a, b in zip(d, e)))
-        for j, (comp, mono) in enumerate(gp.basis(d)):
-            terms = sorted(((term_key(comp, mono_mul(mono, mf)), cf)
-                            for mf, cf in f.terms), reverse=True)
-            want = np.zeros(len(tgt), dtype=np.int64)
-            for (_, mm, negc), cc in _reduce_full(tuple(terms), elements,
-                                                  gp.gb._leads, p)[0]:
-                want[tgt.index((-negc, mm))] = cc
-            assert np.array_equal(F[:, j], want), (d, e, j)
+            for j, (comp, mono) in enumerate(gp.basis(d)):
+                want = np.zeros(len(tgt), dtype=np.int64)
+                for (_, mm, negc), cc in _reduce_full(
+                        ((term_key(comp, mono_mul(mono, m)), 1),), elements,
+                        gp.gb._leads, p)[0]:
+                    want[tgt.index((-negc, mm))] = cc
+                assert np.array_equal(A[:, j], want), (d, m, j)
+        for f in (Poly.zero(ring), _random_form(ring, rng, e)):
+            with pytest.raises(ValueError):
+                gp.mult_matrix(f, d)
 
 
 def test_mult_matrix_blocks_are_cached_per_monomial(monkeypatch):
@@ -114,8 +112,3 @@ def test_mult_matrix_blocks_are_cached_per_monomial(monkeypatch):
     assert np.array_equal(gp.mult_matrix(x, d), A)
     assert calls == []
 
-
-def test_mult_matrix_rejects_zero():
-    M = _hyperelliptic()
-    with pytest.raises(ValueError):
-        GradedPieces(M).mult_matrix(Poly.zero(M.ring), (0, 0))

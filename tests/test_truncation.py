@@ -5,8 +5,10 @@ import pytest
 
 from multireg import (
     FreeModuleSpec,
+    MatrixOverS,
     Poly,
     Presentation,
+    Vector,
     betti,
     free_resolution,
     hilbert_function,
@@ -87,6 +89,29 @@ def test_truncation_trim_agrees_with_untrimmed(not_linear_module):
     b = truncate_module(M, (1, 0))
     assert b.F0.rank < G.rank
     assert betti(free_resolution(a)).data == betti(free_resolution(b)).data
+
+
+def test_trimming_ignores_the_sign_of_a_degree(P11):
+    """Trimming at a negative d drops what trimming drops once the
+    module is twisted up to nonnegative degrees: M = coker(e_1 - x0 e_0)
+    with generators in degrees (-2,0) and (-1,0) is generated by e_0,
+    and e_1 = x0 e_0 is reached from the piece of degree (-2,0)."""
+    x0 = Poly.variable(P11, 0)
+
+    def shifted(a):
+        F = FreeModuleSpec(P11, ((a - 2, 0), (a - 1, 0)))
+        rel = Vector.from_components([-x0, Poly.one(P11)])
+        return Presentation(F, MatrixOverS(
+            FreeModuleSpec(P11, ((a - 1, 0),)), F, [rel]))
+
+    M, N = shifted(0), shifted(3)
+    T, U = truncate_module(M, (-2, 0)), truncate_module(N, (1, 0))
+    assert T.F0.twists == ((-2, 0),)
+    assert U.F0.twists == ((1, 0),)
+    assert betti(free_resolution(T)).data == \
+        betti(free_resolution(M)).data == {(0, (-2, 0)): 1}
+    assert betti(free_resolution(U)).data == \
+        betti(free_resolution(N)).data == {(0, (1, 0)): 1}
 
 
 def test_trimming_shares_graded_pieces(P11):
