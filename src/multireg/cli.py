@@ -418,6 +418,10 @@ def main(argv=None):
             and not args.file:
         ap.error("ci-regularity needs a file or --degrees")
     try:
+        if getattr(args, "output", None) and args.format != "svg":
+            # before the computation: only an svg staircase is written
+            raise ParseError("--output writes an svg staircase; it needs "
+                             "--format svg")
         return args.fn(args)
     except ParseError as exc:
         _report_error(args, exc)

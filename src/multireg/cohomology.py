@@ -22,7 +22,7 @@ agree across the whole degree box, and the result carries the t used
 and a heuristic flag.
 """
 
-from itertools import combinations, product as _iterproduct
+from itertools import accumulate, combinations, product as _iterproduct
 from math import comb
 
 import numpy as np
@@ -204,37 +204,42 @@ class CohomologyTable:
         }
 
 
-def _ext_dims_at(pieces, complex_, pdeg, max_index):
+def _ext_entries(complex_):
+    """What ``_ext_dims_at`` reads of a complex, read once: the twists
+    of each term, and each differential's entries as (row block,
+    column block, term) of the induced map on Hom(-, M).  Entry (k, l)
+    of a bracket-power differential is one term c*m, which multiplies
+    the piece at F_j twist k into the piece at F_{j+1} twist l."""
+    ring = complex_.terms[0].ring
+    twists = [spec.twists for spec in complex_.terms]
+    entries = [[(l, -negc, Poly.monomial(ring, m, c))
+                for l, col in enumerate(diff.columns)
+                for (_, m, negc), c in col.terms]
+               for diff in complex_.differentials]
+    return twists, entries
+
+
+def _ext_dims_at(pieces, twists, entries, pdeg, max_index):
     """Dimensions of the cohomology of Hom(complex, M) in one degree:
-    ranks of the induced blocks between direct sums of module pieces."""
-    ring = pieces.ring
-    p = ring.p
-    dims = []
-    bases = []
-    for spec in complex_.terms:
-        sizes = [pieces.dim(deg_add(pdeg, tw)) for tw in spec.twists]
-        bases.append(sizes)
-        dims.append(sum(sizes))
+    ranks of the induced blocks between direct sums of module pieces.
+    The complex comes as ``_ext_entries`` reads it, once per complex,
+    so a degree costs one shift per twist and one ``mult_matrix`` per
+    entry."""
+    p = pieces.ring.p
+    degrees = [[deg_add(pdeg, tw) for tw in tws] for tws in twists]
+    offsets = [list(accumulate((pieces.dim(e) for e in degs), initial=0))
+               for degs in degrees]
     ranks = []
-    for j, diff in enumerate(complex_.differentials):
-        rows_sizes = bases[j + 1]
-        cols_sizes = bases[j]
-        A = np.zeros((sum(rows_sizes), sum(cols_sizes)), dtype=np.int64)
-        row_off = np.concatenate([[0], np.cumsum(rows_sizes)]).astype(int)
-        col_off = np.concatenate([[0], np.cumsum(cols_sizes)]).astype(int)
-        for l, col in enumerate(diff.columns):
-            # entry (k, l) of a bracket-power differential is one term
-            # c*m, which multiplies the piece at F_j twist k into the
-            # piece at F_{j+1} twist l: each block is written once
-            for (_, m, negc), c in col.terms:
-                k = -negc
-                A[row_off[l]:row_off[l + 1], col_off[k]:col_off[k + 1]] = \
-                    pieces.mult_matrix(Poly.monomial(ring, m, c),
-                                       deg_add(pdeg, diff.target.twists[k]))
+    for j, diff in enumerate(entries):
+        rows, cols = offsets[j + 1], offsets[j]
+        A = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+        for l, k, f in diff:
+            A[rows[l]:rows[l + 1], cols[k]:cols[k + 1]] = \
+                pieces.mult_matrix(f, degrees[j][k])
         ranks.append(modp.rank(A, p))
     out = {}
     for i in range(max_index + 1):
-        d = dims[i] if i < len(dims) else 0
+        d = offsets[i][-1] if i < len(offsets) else 0
         r_i = ranks[i] if i < len(ranks) else 0
         r_prev = ranks[i - 1] if 0 < i <= len(ranks) else 0
         out[i] = d - r_i - r_prev
@@ -273,10 +278,10 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
     points = box_points((lo, hi))
 
     def table_at(t):
-        cx = bracket_power_complex(ring, t)
+        twists, entries = _ext_entries(bracket_power_complex(ring, t))
         out = {}
         for pdeg in points:
-            dims = _ext_dims_at(pieces, cx, pdeg, max_index)
+            dims = _ext_dims_at(pieces, twists, entries, pdeg, max_index)
             for i, v in dims.items():
                 if v:
                     out[(i, pdeg)] = v

@@ -7,6 +7,12 @@ pieces is plain linear algebra over F_p.  This is the workhorse behind
 Hilbert-function queries, the Koszul homology of truncations, and the
 Ext complexes of the cohomology oracle.
 
+The standard monomials of one component form an order ideal: every
+divisor of a standard monomial is standard.  So a piece is grown from
+a piece one step below it, as the products of its monomials with the
+variables of one block that no lead divides, and the free piece around
+it is never listed.
+
 The Koszul complex K(x) (x) M_{>=d} in degree b has one summand
 M_{b - deg x_S} per subset S of the variables whose source degree is
 >= d; ``GradedPieces._koszul_terms`` alone lists them.  Generator
@@ -36,9 +42,9 @@ from .ringcore import (
     deg_add,
     deg_leq,
     deg_sub,
-    free_basis_of_degree,
     mono_divides,
     mono_mul,
+    mono_one,
     term_key,
 )
 
@@ -77,26 +83,78 @@ class GradedPieces:
         self.gb = buchberger(M.relations)
         self._basis = {}
         self._index = {}
+        # (component, requested degree relative to its twist) ->
+        # standard monomials
+        self._standard = {}
         self._blocks = {}
         # regularity.module_is_saturated_at_zero's verdict, once known
         self.saturated_at_zero = None
 
     def basis(self, d):
         """Standard-monomial basis of the degree-d piece: pairs
-        (component, monomial) not divisible by any relation lead."""
+        (component, monomial) not divisible by any relation lead,
+        component-major, monomials in descending term order.  Standard
+        monomials form an order ideal, so each component's part is
+        grown from a piece one step below it
+        (``_standard_monomials``), not filtered from the free piece."""
         d = tuple(d)
         got = self._basis.get(d)
         if got is not None:
             return got
-        leads = self.gb._leads
-        out = []
-        for comp, mono in free_basis_of_degree(self.F0, d):
-            if any(mono_divides(lm, mono) for lm, _ in leads.get(comp, ())):
-                continue
-            out.append((comp, mono))
+        d = checked_degree(d, self.ring.r)
+        out = [(k, m) for k, tw in enumerate(self.F0.twists)
+               for m in self._standard_monomials(k, deg_sub(d, tw))]
         self._basis[d] = out
         self._index[d] = {cm: i for i, cm in enumerate(out)}
         return out
+
+    def _standard_monomials(self, k, rel):
+        """The monomials of degree rel that no lead of component k
+        divides, in descending term order (one degree, so lex order).
+
+        They form an order ideal: every divisor of a standard monomial
+        is standard.  So for any block i with rel_i > 0, each of them
+        is x_v m for a variable x_v of block i and a standard m of
+        degree rel - e_i, and the piece is the distinct such products
+        that no lead divides.  The pieces below are built on the way
+        up from the nearest known one (or from degree 0), by a loop,
+        not recursion: the chain is as long as the total degree.  A
+        step goes through a block whose piece below is known, when one
+        is, and otherwise through the first positive block; only the
+        requested pieces are kept, so a deep query leaves one piece
+        behind, not the whole order ideal below it."""
+        if min(rel) < 0:
+            return ()
+        memo = self._standard
+        got = memo.get((k, rel))
+        if got is not None:
+            return got
+        chain, low = [], rel
+        while (k, low) not in memo and any(low):
+            steps = [(i, low[:i] + (a - 1,) + low[i + 1:])
+                     for i, a in enumerate(low) if a]
+            i, low = next((st for st in steps if (k, st[1]) in memo),
+                          steps[0])
+            chain.append(i)
+        leads = [lm for lm, _ in self.gb._leads.get(k, ())]
+        got = memo.get((k, low))
+        if got is None:
+            # degree 0: the unit monomial, unless a lead is the unit
+            got = (() if any(not any(lm) for lm in leads)
+                   else (mono_one(self.ring),))
+        for i in reversed(chain):
+            block = self.ring.block(i)
+            # m is standard, so a lead that divides x_v m has x_v m's
+            # exponent at v
+            prods = {m[:v] + (m[v] + 1,) + m[v + 1:]: v
+                     for m in got for v in block}
+            got = tuple(sorted(
+                (q for q, v in prods.items()
+                 if not any(lm[v] == q[v] and mono_divides(lm, q)
+                            for lm in leads)),
+                reverse=True))
+        memo[(k, rel)] = got
+        return got
 
     def dim(self, d):
         return len(self.basis(d))

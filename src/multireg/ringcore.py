@@ -496,18 +496,6 @@ class FreeModuleSpec:
         return f"FreeModuleSpec({list(self.twists)})"
 
 
-def free_basis_of_degree(spec, d):
-    """Basis of the degree-d piece of a free module: pairs (component,
-    monomial), component-major, monomials in descending term order."""
-    d = checked_degree(d, spec.ring.r)
-    out = []
-    for k, tw in enumerate(spec.twists):
-        rel = deg_sub(d, tw)
-        for m in monomials_of_degree(spec.ring, rel):
-            out.append((k, m))
-    return out
-
-
 # Vector terms are ((total_exponent, monomial, -component), coeff),
 # kept sorted descending, so terms[0] is the leading term and merging
 # two vectors is a linear-time walk.

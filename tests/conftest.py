@@ -19,7 +19,7 @@ from multireg import (
     poly_from_string,
     saturate,
 )
-from multireg.ringcore import deg_sub, free_basis_of_degree, mono_mul
+from multireg.ringcore import checked_degree, deg_sub, mono_mul
 
 
 @pytest.fixture(scope="session")
@@ -176,9 +176,17 @@ def saturated_corpus(ring, count, seed, **kw):
 
 
 # ---------------------------------------------------------------------------
-# dense reference: graded blocks of matrices and their ranks, computed
-# without a Groebner basis, so tests of the basis, the syzygies and the
-# resolutions do not check the library against itself
+# dense reference: free pieces, graded blocks of matrices and their
+# ranks, computed without a Groebner basis, so tests of the basis, the
+# syzygies and the resolutions do not check the library against itself
+
+def free_basis_of_degree(spec, d):
+    """Basis of the degree-d piece of a free module: pairs (component,
+    monomial), component-major, monomials in descending term order."""
+    d = checked_degree(d, spec.ring.r)
+    return [(k, m) for k, tw in enumerate(spec.twists)
+            for m in monomials_of_degree(spec.ring, deg_sub(d, tw))]
+
 
 def graded_block(A, d):
     """The degree-d piece of a MatrixOverS as a dense F_p matrix.

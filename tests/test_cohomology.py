@@ -1,5 +1,6 @@
 import itertools
 import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from multireg import (
     is_d_regular,
     line_bundle_cohomology,
     local_cohomology_box,
+    parse_input,
     region_Q,
     structure_sheaf_local_cohomology,
     truncate_free,
@@ -26,6 +28,9 @@ from multireg.regularity import classify_resolution
 from multireg.resolution import betti
 from multireg.ringcore import count_monomials
 
+from .conftest import free_basis_of_degree
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_line_bundle_sections():
@@ -93,7 +98,6 @@ def test_bracket_complex_is_resolution(P11, P12, P22, P111):
                 C.differentials[i + 1]).is_zero()
         # Euler characteristic = Hilbert function of the quotient by
         # the bracket ideal, computable by counting monomials
-        from multireg.ringcore import free_basis_of_degree
         for d in itertools.product(range(2 * t + 1), repeat=ring.r):
             chi = 0
             sign = 1
@@ -150,6 +154,38 @@ def test_truncation_cohomology_identity(not_linear_module):
     # and the degree-1 groups agree at degrees >= d
     for pdeg in itertools.product(range(1, 4), repeat=2):
         assert tm.dim(1, pdeg) == tt.dim(1, pdeg), pdeg
+
+
+# local_cohomology_box over [-1,1]^r: t_used and the nonzero entries
+# {(i, degree): dim}
+EXT_TABLES = {
+    "not_linear": (3, {
+        (1, (-1, 1)): 2, (2, (-1, -1)): 4, (2, (-1, 0)): 2,
+        (2, (-1, 1)): 2, (2, (0, -1)): 2}),
+    "two_points": (3, {
+        (1, (-1, -1, -1)): 2, (1, (-1, -1, 0)): 2, (1, (-1, -1, 1)): 2,
+        (1, (-1, 0, -1)): 2, (1, (-1, 0, 0)): 2, (1, (-1, 0, 1)): 2,
+        (1, (-1, 1, -1)): 2, (1, (-1, 1, 0)): 2, (1, (-1, 1, 1)): 2,
+        (1, (0, -1, -1)): 2, (1, (0, -1, 0)): 2, (1, (0, -1, 1)): 2,
+        (1, (0, 0, -1)): 2, (1, (0, 0, 0)): 1, (1, (0, 1, -1)): 2,
+        (1, (1, -1, -1)): 2, (1, (1, -1, 0)): 2, (1, (1, -1, 1)): 2,
+        (1, (1, 0, -1)): 2, (1, (1, 1, -1)): 2}),
+    "hyperelliptic": (3, {
+        (1, (-1, 1)): 3, (1, (0, 1)): 2, (1, (1, 1)): 1,
+        (2, (-1, -1)): 13, (2, (-1, 0)): 5, (2, (0, -1)): 11,
+        (2, (0, 0)): 4, (2, (1, -1)): 9, (2, (1, 0)): 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXT_TABLES))
+def test_ext_tables_are_pinned(name):
+    """The oracle's tables on three data files, as computed when the
+    graded pieces were still filtered from the free pieces and every
+    block was read per degree."""
+    M = parse_input((DATA / f"{name}.mr").read_text()).module()
+    r = M.ring.r
+    table = local_cohomology_box(M, ((-1,) * r, (1,) * r))
+    assert (table.t_used, table.data) == EXT_TABLES[name]
 
 
 def test_stabilization_not_reached():

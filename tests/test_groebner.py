@@ -32,11 +32,11 @@ from multireg import (
 )
 from multireg import groebner, modp
 from multireg.groebner import schreyer_frame
-from multireg.ringcore import free_basis_of_degree, term_key, vec_add, \
-    vec_scale
+from multireg.ringcore import term_key, vec_add, vec_scale
 
-from .conftest import (dense_hilbert_function, graded_block, pp,
-                       random_homogeneous_gen, saturated_corpus)
+from .conftest import (dense_hilbert_function, free_basis_of_degree,
+                       graded_block, pp, random_homogeneous_gen,
+                       saturated_corpus)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

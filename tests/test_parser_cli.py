@@ -334,6 +334,12 @@ BAD_DEGREE_ARGUMENTS = [
      "data/ci_surface.mr given with --degrees"),
     (["ci-regularity", "data/ci_surface.mr", "--degrees", "1,1", "1,2"],
      "data/ci_surface.mr given with --degrees"),
+    # --output writes svg only
+    (["region", "Q", "1", "1,1", "--output", "x.svg"], "--output"),
+    (["regularity", "--output", "x.svg"], "--output"),
+    (["linear-truncations", "--output", "x.svg"], "--output"),
+    (["ci-regularity", "--degrees", "1,1", "1,2", "--output", "x.svg"],
+     "--output"),
 ]
 
 
@@ -341,8 +347,8 @@ BAD_DEGREE_ARGUMENTS = [
                          ids=[" ".join(a) for a, _ in BAD_DEGREE_ARGUMENTS])
 def test_cli_rejects_degree_arguments(argv, names, capsys):
     # a degree or box of the wrong rank, a reversed box, a negative
-    # level, a power below 1 or a cap not above the first power is a
-    # parse error naming the argument
+    # level, a power below 1, a cap not above the first power or an
+    # --output without svg is a parse error naming the argument
     if argv[0] not in ("region", "ci-regularity"):
         argv = argv[:1] + [str(DATA / "not_linear.mr")] + argv[1:]
     code, out, err = _run(argv, capsys)

@@ -1,6 +1,7 @@
-"""Graded pieces: dimensions against the dense reference, and
-multiplication matrices (their scaling, their agreement with full
-reduction, and their per-monomial cache)."""
+"""Graded pieces: bases against the free pieces filtered by the leads,
+dimensions against the dense reference, and multiplication matrices
+(their scaling, their agreement with full reduction, and their
+per-monomial cache)."""
 
 import itertools
 import random
@@ -9,13 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multireg import (Poly, RingSpec, hilbert_function, monomials_of_degree,
+from multireg import (FreeModuleSpec, MatrixOverS, Poly, Presentation,
+                      RingSpec, hilbert_function, monomials_of_degree,
                       parse_input, pieces, truncate_module)
 from multireg.groebner import _reduce_full
 from multireg.pieces import GradedPieces
-from multireg.ringcore import mono_mul, term_key
+from multireg.ringcore import mono_divides, mono_mul, term_key
 
-from .conftest import dense_hilbert_function, saturated_corpus
+from .conftest import (dense_hilbert_function, free_basis_of_degree, pp,
+                       saturated_corpus)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -34,14 +37,71 @@ def _random_form(ring, rng, d, nterms=3):
     return f
 
 
+def _data_modules():
+    """Every data file, and its truncation at (1,...,1)."""
+    modules = [parse_input(path.read_text()).module()
+               for path in sorted(DATA.glob("*.mr"))]
+    return modules + [truncate_module(M, (1,) * M.ring.r) for M in modules]
+
+
+def _filtered_free_piece(gp, d):
+    """The degree-d basis by its definition: the free piece, less the
+    monomials that a lead of their component divides."""
+    leads = gp.gb._leads
+    return [(k, m) for k, m in free_basis_of_degree(gp.F0, d)
+            if not any(mono_divides(lm, m) for lm, _ in leads.get(k, ()))]
+
+
+def test_basis_is_the_free_piece_less_the_lead_multiples():
+    """Growing each piece from the one below lists the same pairs, in
+    the same order, as filtering the whole free piece by the leads: on
+    every data file and its truncation at (1,...,1), two seeded
+    corpora, a presentation with mixed twists, and one in which a unit
+    lead kills a component, at every degree of [-2,5]^r."""
+    P11, P12 = RingSpec((1, 1)), RingSpec((1, 2))
+    mixed = FreeModuleSpec(P12, [(0, 0), (1, -1), (-1, 2)])
+    mixed = Presentation(mixed, MatrixOverS.from_entries(
+        FreeModuleSpec(P12, [(1, 1), (0, 2), (2, 0)]), mixed, [
+            [pp(P12, "x0*y1"), pp(P12, "y2^2"), pp(P12, "x0^2 - x1^2")],
+            [pp(P12, "y0^2"), Poly.zero(P12), pp(P12, "x1*y0")],
+            [Poly.zero(P12), pp(P12, "x1"), Poly.zero(P12)]]))
+    # e_0 = 3 e_1 has the unit lead e_0
+    units = FreeModuleSpec(P11, [(1, 0), (1, 0), (0, 0)])
+    units = Presentation(units, MatrixOverS.from_entries(
+        FreeModuleSpec(P11, [(1, 0), (1, 0)]), units, [
+            [pp(P11, "1"), Poly.zero(P11)],
+            [pp(P11, "-3"), pp(P11, "5")],
+            [Poly.zero(P11), pp(P11, "x0")]]))
+    assert GradedPieces(units).gb._leads[0][0][0] == (0, 0, 0, 0)
+    modules = _data_modules() + [mixed, units]
+    modules += saturated_corpus(P11, 20, 7)
+    modules += saturated_corpus(P12, 8, 5)
+    mismatches = []
+    for M in modules:
+        gp = GradedPieces(M)
+        for d in itertools.product(range(-2, 6), repeat=M.ring.r):
+            if gp.basis(d) != _filtered_free_piece(gp, d):
+                mismatches.append((M, d))
+    assert mismatches == []
+
+
+def test_basis_of_a_deep_piece():
+    """The pieces below (1500, 0) form a chain 1500 long, deeper than
+    Python's default recursion limit; only the two components twisted
+    by (1,0) reach that degree, and only their requested pieces are
+    kept, not the about 2.25M monomials below them."""
+    M = parse_input((DATA / "not_linear.mr").read_text()).module()
+    assert hilbert_function(M, (1500, 0)) == 3000
+    assert sorted(GradedPieces.of(M)._standard) == [(0, (1499, 0)),
+                                                    (1, (1499, 0))]
+
+
 def test_hilbert_function_matches_dense_reference():
     """Standard monomials of the Groebner basis count dim M_d as the
     dense rank of the relations' degree-d block does: on every data
     file, its truncation at (1,...,1) and a seeded corpus, at every
     degree of [-1,3]^r."""
-    modules = [parse_input(path.read_text()).module()
-               for path in sorted(DATA.glob("*.mr"))]
-    modules += [truncate_module(M, (1,) * M.ring.r) for M in modules]
+    modules = _data_modules()
     modules += saturated_corpus(RingSpec((1, 1)), 20, 7)
     modules += saturated_corpus(RingSpec((1, 2)), 8, 5)
     mismatches = [

@@ -11,9 +11,9 @@ from multireg import (
     hilbert_function,
     monomials_of_degree,
 )
-from multireg.ringcore import count_monomials, free_basis_of_degree
+from multireg.ringcore import count_monomials
 
-from .conftest import pp
+from .conftest import free_basis_of_degree, pp
 
 
 def test_ring_validation():
