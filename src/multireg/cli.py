@@ -39,6 +39,7 @@ from .regularity import (
     verify_ci_hypotheses,
 )
 from .resolution import betti, free_resolution
+from .ringcore import checked_prime
 from .truncation import truncate_module
 
 
@@ -66,6 +67,12 @@ def _parse_box(text, rank):
 
 
 def _load_job(args):
+    if args.prime is not None:
+        # the value is not in the file, so the error names the option
+        try:
+            checked_prime(args.prime)
+        except ValueError as exc:
+            raise ParseError(f"--prime {args.prime}: {exc}") from None
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     return parse_input(text, prime_override=args.prime)

@@ -16,12 +16,19 @@ so the limit is the same, and S/B^[t] has a closed-form resolution
 (`bracket_power_complex`, one generator per set of variables meeting
 every block) whose ranks do not grow with t.  Each differential entry
 is a signed pure power x_w^t, so Hom into the module is assembled
-from one multiplication matrix per entry.  The limit is detected
+from one multiplication matrix per entry.  The differentials of
+Hom(complex, M) in one degree are ranked from the top down, each on
+the rows at the free columns of the reduced echelon form of the one
+above: the image of a differential lies in the kernel of the next,
+and projecting onto the free columns is injective on that kernel, so
+the rank is unchanged and about half the rows are never eliminated
+(``_ext_dims_at`` gives the proof).  The limit is detected
 empirically: the table is accepted once two consecutive values of t
 agree across the whole degree box, and the result carries the t used
 and a heuristic flag.
 """
 
+from bisect import bisect_left
 from itertools import accumulate, combinations, product as _iterproduct
 from math import comb
 
@@ -223,20 +230,56 @@ def _ext_dims_at(pieces, twists, entries, pdeg, max_index):
     """Dimensions of the cohomology of Hom(complex, M) in one degree:
     ranks of the induced blocks between direct sums of module pieces.
     The complex comes as ``_ext_entries`` reads it, once per complex,
-    so a degree costs one shift per twist and one ``mult_matrix`` per
-    entry."""
+    so a degree costs one shift per twist and at most one
+    ``mult_matrix`` per entry.
+
+    The differentials A_j: Hom_j -> Hom_{j+1} are ranked from the top
+    down, each on the rows at the free (non-pivot) columns F of the
+    reduced row echelon form R of the one above.  This is exact.
+    Every v in ker A_j has R v = 0, so v_P = -R_F v_F on the pivot
+    columns P, and projecting onto F is injective on ker A_j, which
+    contains im A_{j-1}.  Hence rank A_{j-1} = rank A_{j-1}[F, :].  The
+    restricted matrix then has the kernel of A_{j-1}, so its row space
+    and pivots are those of A_{j-1}, and the step repeats one level
+    down.  The top differential and every one above the bottom go to
+    ``modp.rref`` for their pivots, and the bottom one to
+    ``modp.rank``.  Only the kept rows are assembled: an entry whose
+    target rows are all pivots takes no ``mult_matrix``, a block with
+    no pivot rows is copied whole, and a matrix with no kept rows has
+    rank 0.
+    """
     p = pieces.ring.p
     degrees = [[deg_add(pdeg, tw) for tw in tws] for tws in twists]
     offsets = [list(accumulate((pieces.dim(e) for e in degs), initial=0))
                for degs in degrees]
-    ranks = []
-    for j, diff in enumerate(entries):
+    ranks = [0] * len(entries)
+    pivots = []  # ascending pivot columns of the differential above
+    for j in reversed(range(len(entries))):
         rows, cols = offsets[j + 1], offsets[j]
-        A = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
-        for l, k, f in diff:
-            A[rows[l]:rows[l + 1], cols[k]:cols[k + 1]] = \
-                pieces.mult_matrix(f, degrees[j][k])
-        ranks.append(modp.rank(A, p))
+        # per row block, its place among the kept rows and the local
+        # indices of its kept rows (all of them when none is a pivot)
+        blocks, kept = [], 0
+        for a, b in zip(rows, rows[1:]):
+            lo, hi = bisect_left(pivots, a), bisect_left(pivots, b)
+            idx = slice(None)
+            if lo < hi < lo + b - a:
+                idx = np.delete(np.arange(b - a), np.array(pivots[lo:hi]) - a)
+            blocks.append((kept, kept + b - a - (hi - lo), idx))
+            kept = blocks[-1][1]
+        if not kept:
+            pivots = []
+            continue
+        A = np.zeros((kept, cols[-1]), dtype=np.int64)
+        for l, k, f in entries[j]:
+            start, stop, idx = blocks[l]
+            if start < stop:
+                A[start:stop, cols[k]:cols[k + 1]] = \
+                    pieces.mult_matrix(f, degrees[j][k])[idx]
+        if j:
+            pivots = modp.rref(A, p)[1]
+            ranks[j] = len(pivots)
+        else:
+            ranks[j] = modp.rank(A, p)
     out = {}
     for i in range(max_index + 1):
         d = offsets[i][-1] if i < len(offsets) else 0

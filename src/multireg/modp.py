@@ -5,10 +5,14 @@ arithmetic is exact for every prime, into an echelon basis keyed by
 leading column, sparsest rows first.  Two entries feed it.  ``rref``
 reads a dense matrix once into such rows and back-substitutes the
 basis; ``rank`` is its pivot count.  ``rank_rows`` takes the sparse
-rows themselves and counts the basis.  Three callers remain.  The
-cohomology oracle takes the ``rank`` of each Ext block, and
-truncation's generator trimming runs ``rref`` on the span of the
-one-variable shifts beside its candidate generators; both hand over
+rows themselves and counts the basis.
+
+Three callers remain.  The cohomology oracle ranks the differentials
+of each Ext complex from the top down: it reads the ``rref`` pivots of
+every differential above the bottom one, which fix the rows the next
+one down keeps, and takes the ``rank`` of the bottom one.
+Truncation's generator trimming runs ``rref`` on the span of the
+one-variable shifts beside its candidate generators.  Both hand over
 dense int64 arrays of graded pieces, which are typically a few percent
 dense.  The graded pieces' Koszul homology assembles its differentials
 as sparse rows and takes their ``rank_rows``.
@@ -75,6 +79,8 @@ def rref(A, p):
 
 
 def rank(A, p):
+    """Rank of the dense matrix A over F_p: the number of pivots of
+    its ``rref``."""
     return len(rref(A, p)[1])
 
 

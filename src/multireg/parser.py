@@ -190,28 +190,27 @@ def parse_input(text, prime_override=None):
     tok, line, col = tokens.next()
     if tok != "ring":
         raise ParseError("input must start with a 'ring' line", line, col)
-    p = None
-    n = None
+    # each key's value and the (line, col) of the key, for its errors
+    keys = {"p": (32003, ())}
     while tokens.peek() in ("p", "n"):
         what, line, col = tokens.next()
         tokens.expect("=")
-        if what == "p":
-            p = _parse_int(tokens)
-        else:
-            n = _parse_list(tokens, _parse_int, "[]")
-    if n is None:
+        value = _parse_int(tokens) if what == "p" else \
+            _parse_list(tokens, _parse_int, "[]")
+        keys[what] = (value, (line, col))
+    if "n" not in keys:
         tokens.error("ring line needs n=[...]")
-    if prime_override is not None:
-        p = prime_override
-    if p is None:
-        p = 32003
+    n, n_at = keys["n"]
+    # an overriding prime is not in the text, so its errors have no
+    # position
+    p, p_at = keys["p"] if prime_override is None else (prime_override, ())
     if any(ni < 1 for ni in n):
-        raise ParseError(f"factor dimensions must be >= 1, got {n}",
-                         line, col)
+        raise ParseError(f"factor dimensions must be >= 1, got {n}", *n_at)
     try:
         ring = RingSpec(tuple(n), p)
     except ValueError as exc:
-        raise ParseError(str(exc), line, col) from exc
+        # n is checked above, so the ring rejects the characteristic
+        raise ParseError(str(exc), *p_at) from exc
     tok, line, col = tokens.next()
 
     def poly(tk):

@@ -57,6 +57,18 @@ def is_prime(m):
     return True
 
 
+def checked_prime(p):
+    """``p``, after checking that it is a prime the field arithmetic
+    supports."""
+    if not is_prime(p):
+        raise ValueError(f"characteristic {p} is not prime")
+    if p >= 2 ** 62:
+        # matrices hold residues as int64 and sum two of them
+        raise ValueError(f"characteristic {p} is too large: "
+                         "need p < 2^62")
+    return p
+
+
 # ---------------------------------------------------------------------------
 # multidegrees: plain tuples of length r
 
@@ -137,15 +149,9 @@ class RingSpec:
             raise ValueError("need at least one factor")
         if any(ni < 1 for ni in n):
             raise ValueError("every factor dimension must be >= 1")
-        if not is_prime(p):
-            raise ValueError(f"characteristic {p} is not prime")
-        if p >= 2 ** 62:
-            # matrices hold residues as int64 and sum two of them
-            raise ValueError(f"characteristic {p} is too large: "
-                             "need p < 2^62")
         self.r = len(n)
         self.n = n
-        self.p = p
+        self.p = checked_prime(p)
         starts = []
         var_factor = []
         pos = 0

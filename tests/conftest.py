@@ -1,7 +1,8 @@
 """Shared rings, example modules, corpus helpers, and the dense
-reference for graded pieces."""
+references for graded pieces and for the oracle's Ext ranks."""
 
 import random
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from multireg import (
     poly_from_string,
     saturate,
 )
-from multireg.ringcore import checked_degree, deg_sub, mono_mul
+from multireg.ringcore import checked_degree, deg_add, deg_sub, mono_mul
 
 
 @pytest.fixture(scope="session")
@@ -230,3 +231,33 @@ def check_exactness(C, M, box):
             assert ranks[i - 1] + ranks[i] == dims[i], (d, i)
         chi = sum((-1) ** i * dim for i, dim in enumerate(dims))
         assert chi == dense_hilbert_function(M, d), d
+
+
+# ---------------------------------------------------------------------------
+# reference for the oracle: the Ext dimensions of Hom(complex, M) in one
+# degree from the rank of every differential on all of its rows, as the
+# oracle computed them before it ranked each one only on the free
+# coordinates of the one above
+
+def full_rank_ext_dims(pieces, twists, entries, pdeg, max_index):
+    """``cohomology._ext_dims_at`` with every differential assembled
+    whole and ranked on its own."""
+    p = pieces.ring.p
+    degrees = [[deg_add(pdeg, tw) for tw in tws] for tws in twists]
+    offsets = [list(accumulate((pieces.dim(e) for e in degs), initial=0))
+               for degs in degrees]
+    ranks = []
+    for j, diff in enumerate(entries):
+        rows, cols = offsets[j + 1], offsets[j]
+        A = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+        for l, k, f in diff:
+            A[rows[l]:rows[l + 1], cols[k]:cols[k + 1]] = \
+                pieces.mult_matrix(f, degrees[j][k])
+        ranks.append(modp.rank(A, p))
+    out = {}
+    for i in range(max_index + 1):
+        d = offsets[i][-1] if i < len(offsets) else 0
+        r_i = ranks[i] if i < len(ranks) else 0
+        r_prev = ranks[i - 1] if 0 < i <= len(ranks) else 0
+        out[i] = d - r_i - r_prev
+    return out

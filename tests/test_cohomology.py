@@ -22,13 +22,20 @@ from multireg import (
     truncate_free,
     truncate_module,
 )
-from multireg.cohomology import bracket_power_complex, required_corners
+from multireg.cohomology import (
+    _ext_dims_at,
+    _ext_entries,
+    bracket_power_complex,
+    default_t_start,
+    required_corners,
+)
 from multireg.pieces import GradedPieces
 from multireg.regularity import classify_resolution
 from multireg.resolution import betti
-from multireg.ringcore import count_monomials
+from multireg.ringcore import box_points, count_monomials, deg_add
 
-from .conftest import free_basis_of_degree
+from .conftest import (free_basis_of_degree, full_rank_ext_dims,
+                       saturated_corpus)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -186,6 +193,93 @@ def test_ext_tables_are_pinned(name):
     r = M.ring.r
     table = local_cohomology_box(M, ((-1,) * r, (1,) * r))
     assert (table.t_used, table.data) == EXT_TABLES[name]
+
+
+def test_ext_dims_match_full_ranks(P11, P12):
+    """Ranking each differential only on the free coordinates of the
+    one above gives the Ext dimensions of ranking every differential
+    whole, at every degree of [-1,0]^r and at the first two powers the
+    oracle tries there."""
+    modules = [parse_input(path.read_text()).module()
+               for path in sorted(DATA.glob("*.mr"))]
+    modules += saturated_corpus(P11, 38, 7, maxdeg=2)
+    modules += saturated_corpus(P12, 12, 5, maxdeg=2)
+    modules += saturated_corpus(RingSpec((1, 1), 2 ** 61 - 1), 1, 7,
+                                maxdeg=2)
+    for M in modules:
+        ring = M.ring
+        box = ((-1,) * ring.r, (0,) * ring.r)
+        pieces = GradedPieces.of(M)
+        t_start = default_t_start(box)
+        for t in (t_start, t_start + 1):
+            twists, entries = _ext_entries(bracket_power_complex(ring, t))
+            for pdeg in box_points(box):
+                args = (pieces, twists, entries, pdeg, sum(ring.n) + 1)
+                assert _ext_dims_at(*args) == full_rank_ext_dims(*args), \
+                    (ring.n, ring.p, t, pdeg)
+
+
+def test_ext_ranks_on_free_rows_only(monkeypatch):
+    """The shapes the oracle hands to ``modp`` on hyperelliptic over
+    [-1,1]^2: below the top, each differential has one row per free
+    coordinate of the one above, dim Hom_{j+1} - rank d_{j+1}, and none
+    is assembled when that is zero.  The ranks sum to what ranking
+    every differential whole gives, and the entries whose target rows
+    are all pivots take no multiplication matrix."""
+    import types
+
+    import multireg.cohomology as coh
+    from multireg import modp
+
+    # per degree: dim Hom_j for each j, and the (function, shape, rank)
+    # of each matrix handed to modp
+    per_degree, products = [], []
+    ext_dims_at, mult_matrix = coh._ext_dims_at, GradedPieces.mult_matrix
+
+    def recorded(name):
+        def fn(A, p):
+            out = getattr(modp, name)(A, p)
+            rank = out if name == "rank" else len(out[1])
+            per_degree[-1][1].append((name, A.shape, rank))
+            return out
+        return fn
+
+    def recording_ext_dims_at(pieces, twists, entries, pdeg, max_index):
+        dims = [sum(pieces.dim(deg_add(pdeg, tw)) for tw in tws)
+                for tws in twists]
+        per_degree.append((dims, []))
+        return ext_dims_at(pieces, twists, entries, pdeg, max_index)
+
+    def recording_mult_matrix(self, f, d):
+        products.append(f)
+        return mult_matrix(self, f, d)
+
+    monkeypatch.setattr(coh, "_ext_dims_at", recording_ext_dims_at)
+    monkeypatch.setattr(GradedPieces, "mult_matrix", recording_mult_matrix)
+    monkeypatch.setattr(coh, "modp", types.SimpleNamespace(
+        rank=recorded("rank"), rref=recorded("rref")))
+    M = parse_input((DATA / "hyperelliptic.mr").read_text()).module()
+    table = local_cohomology_box(M, ((-1, -1), (1, 1)))
+    assert (table.t_used, table.data) == EXT_TABLES["hyperelliptic"]
+
+    rank_sum = 0
+    for dims, calls in per_degree:
+        calls = iter(calls)
+        kept = dims[-1]  # the top differential keeps every row
+        for j in reversed(range(len(dims) - 1)):
+            rank = 0
+            if kept:
+                name, shape, rank = next(calls)
+                assert (name, shape) == ("rref" if j else "rank",
+                                         (kept, dims[j]))
+            rank_sum += rank
+            kept = dims[j] - rank
+        assert next(calls, None) is None
+    # 2 tables (t = 3, 4) of 9 degrees; every differential ranked
+    # whole gave the same rank sum from 846 multiplication matrices
+    assert len(per_degree) == 18
+    assert rank_sum == 10230
+    assert len(products) == 550
 
 
 def test_stabilization_not_reached():

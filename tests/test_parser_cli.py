@@ -57,6 +57,17 @@ def test_parse_rejects_inhomogeneous():
     assert "inhomogeneous" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("ring p=4 n=[1,1]\nideal x0", "not prime"),
+    ("ring n=[1,0] p=7\nideal x0", "factor dimensions"),
+], ids=["p", "n"])
+def test_parse_ring_error_cites_its_key(text, message):
+    # the key at fault, not the last key read: both start at col 6
+    with pytest.raises(ParseError, match=message) as err:
+        parse_input(text)
+    assert (err.value.line, err.value.col) == (1, 6)
+
+
 def test_parse_reports_position():
     with pytest.raises(ParseError) as err:
         parse_input("ring p=32003 n=[1,1]\nideal x0 + @")
@@ -301,16 +312,21 @@ def test_cli_readme_commands_run(capsys, monkeypatch):
 
 def test_cli_prime_range(tmp_path, capsys):
     # residues live in int64 matrices: 2^62 - 57 is the largest prime
-    # accepted, and larger primes are parse errors, not overflows
+    # accepted, and larger primes are parse errors, not overflows.  The
+    # value comes from the command line, so the error names the option
+    # and gives no position in the file
     job = tmp_path / "ci.mr"
     job.write_text("ring p=32003 n=[1,1]\nideal x0*y1 - x1*y0\n")
     code, _, _ = _run(["betti", str(job), "--prime",
                        "4611686018427387847"], capsys)
     assert code == 0
-    for p in ("4611686018427388039", "18446744073709551557"):
-        code, out, err = _run(["betti", str(job), "--prime", p], capsys)
+    for p, why in (("4", "is not prime"),
+                   ("4611686018427388039", "is too large"),
+                   ("18446744073709551557", "is too large")):
+        code, out, err = _run(["betti", "--prime", p, str(job)], capsys)
         assert code == 2
-        assert "line 1, col" in out + err
+        assert err.startswith(f"error: --prime {p}: characteristic {p} {why}")
+        assert "line" not in err
 
 
 BAD_DEGREE_ARGUMENTS = [
