@@ -67,12 +67,6 @@ def _parse_box(text, rank):
 
 
 def _load_job(args):
-    if args.prime is not None:
-        # the value is not in the file, so the error names the option
-        try:
-            checked_prime(args.prime)
-        except ValueError as exc:
-            raise ParseError(f"--prime {args.prime}: {exc}") from None
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     return parse_input(text, prime_override=args.prime)
@@ -425,6 +419,13 @@ def main(argv=None):
             and not args.file:
         ap.error("ci-regularity needs a file or --degrees")
     try:
+        prime = getattr(args, "prime", None)
+        if prime is not None:
+            # the value is not in a file, so the error names the option
+            try:
+                checked_prime(prime)
+            except ValueError as exc:
+                raise ParseError(f"--prime {prime}: {exc}") from None
         if getattr(args, "output", None) and args.format != "svg":
             # before the computation: only an svg staircase is written
             raise ParseError("--output writes an svg staircase; it needs "

@@ -343,27 +343,28 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
         "or shrink the box", t_last=t_cap)
 
 
-def _capped_level_corners(d, n, level):
-    """Corners d - lam over lam with |lam| = level and each lam_j at
-    most n_j + 1 (larger shifts never matter on a product of
-    projective spaces)."""
-    r = len(d)
-    corners = []
-    for lam in _iterproduct(*[range(0, nj + 2) for nj in n]):
-        if sum(lam) == level:
-            corners.append(deg_sub(d, lam))
-    return corners
+def _vanishing_regions(ring, d):
+    """The regions where the definition of regularity at d asks local
+    cohomology to vanish, listed by index: the bottom group on the
+    orthants above the unit shifts d + e_j, and group i >= 1 on the
+    staircase with corners d - lam, |lam| = i - 1, each lam_j at most
+    n_j + 1 (larger shifts never matter on a product of projective
+    spaces)."""
+    d = tuple(d)
+    lams = list(_iterproduct(*[range(nj + 2) for nj in ring.n]))
+    regions = [Region(ring.r, [deg_add(d, unit_degree(ring.r, j))
+                               for j in range(ring.r)])]
+    regions += [Region(ring.r, [deg_sub(d, lam) for lam in lams
+                                if sum(lam) == i - 1])
+                for i in range(1, sum(ring.n) + 2)]
+    return regions
 
 
 def required_corners(ring, d):
     """All degree-box corners that the definition check reads: the
-    shifted orthant corners for the bottom group plus the capped
-    region corners for each positive index."""
-    d = tuple(d)
-    corners = [deg_add(d, unit_degree(ring.r, j)) for j in range(ring.r)]
-    for i in range(1, sum(ring.n) + 2):
-        corners.extend(_capped_level_corners(d, ring.n, i - 1))
-    return sorted(set(corners))
+    minimal generators of its vanishing regions."""
+    return sorted({c for region in _vanishing_regions(ring, d)
+                   for c in region.minimal_generators})
 
 
 def check_regularity_by_definition(M, d, table=None):
@@ -394,10 +395,5 @@ def check_regularity_by_definition(M, d, table=None):
         raise BoxTooSmall(
             f"box {lo}..{hi} misses required corners {missing[:4]}",
             missing=missing)
-    # the bottom group vanishes on the unit-shifted orthants, each
-    # higher group on its capped staircase region
-    vanishing = [Region(ring.r, [deg_add(d, unit_degree(ring.r, j))
-                                 for j in range(ring.r)])]
-    vanishing += [Region(ring.r, _capped_level_corners(d, ring.n, i - 1))
-                  for i in range(1, table.max_index + 1)]
+    vanishing = _vanishing_regions(ring, d)
     return not any(vanishing[i].contains(pdeg) for i, pdeg in table.nonzero())

@@ -10,17 +10,14 @@ working element carries its representation in terms of the original
 generators; each reduction to zero then hands us one homogeneous
 syzygy, and together these generate the full syzygy module.
 
-Two criteria skip S-pairs.  Buchberger's chain criterion, in the
-strict form of Gebauer and Moeller ("On an installation of
-Buchberger's algorithm", JSC 6, 1988), runs in every run, tracked or
-not: it skips a pair whose lead syzygy is a combination of the lead
-syzygies of two pairs with strictly smaller lcm.  The lifts of any
-generating set of lead syzygies generate all syzygies (Schreyer; see
-Moeller, Mora and Traverso, "Groebner bases computation using syzygies",
-ISSAC 1992), so the syzygies of the treated pairs still generate the
-module.  The product criterion runs in untracked runs only: the pairs
-it skips carry Koszul syzygies that a tracked run would have to write
-down.
+One criterion skips S-pairs, in every run, tracked or not:
+Buchberger's chain criterion, in the strict form of Gebauer and Moeller
+("On an installation of Buchberger's algorithm", JSC 6, 1988).  It
+skips a pair whose lead syzygy is a combination of the lead syzygies of
+two pairs with strictly smaller lcm.  The lifts of any generating set
+of lead syzygies generate all syzygies (Schreyer; see Moeller, Mora and
+Traverso, "Groebner bases computation using syzygies", ISSAC 1992), so
+the syzygies of the treated pairs still generate the module.
 
 S-pairs only exist between elements whose lead terms share a free
 module component, which keeps pair counts low for high-rank modules.
@@ -42,7 +39,6 @@ from .ringcore import (
     mono_div,
     mono_mul,
     mono_divides,
-    mono_coprime,
     mono_lcm,
     term_key,
     vec_add,
@@ -142,22 +138,19 @@ def _reduce_full(terms, basis_terms, leads, p):
 class _Engine:
     """One Buchberger run over a fixed ambient free module.
 
-    With ``tracked`` every working element carries its expression in
-    the original generators, and reductions to zero are recorded as
-    syzygies.  Every run skips pairs by the chain criterion, whose
-    skipped syzygies follow from those of smaller pairs.  Untracked
-    runs also skip pairs by the product criterion, whose skipped
-    syzygies nobody asks for.
+    A run given the generators' expressions is tracked: every working
+    element carries its expression in the original generators, and
+    reductions to zero are recorded as syzygies.  Every run skips the
+    pairs of the chain criterion, whose syzygies follow from those of
+    smaller pairs.
     """
 
-    def __init__(self, target, tracked=False):
+    def __init__(self, target):
         self.target = target
         self.ring = target.ring
         self.p = target.ring.p
-        self.tracked = tracked
         self.vecs = []
-        self.reps = [] if tracked else None
-        self.solo = []
+        self.reps = None
         self.leads = {}
         self.pairs = []
         self.syzygies = []
@@ -170,24 +163,22 @@ class _Engine:
         that expression as a syzygy."""
         p = self.p
         terms, quotients = _reduce_full(terms, self.vecs, self.leads, p)
-        if self.tracked:
+        if self.reps is not None:
             for idx, m, c in quotients:
                 rep = vec_add(rep, vec_mono_mul(self.reps[idx], m, p - c, p),
                               p)
         if not terms:
-            if self.tracked and rep:
+            if rep:
                 self.syzygies.append(Vector(rep, _canonical=True))
             return
         inv = pow(terms[0][1], -1, p)
         terms = vec_scale(terms, inv, p)
         idx = len(self.vecs)
         self.vecs.append(terms)
-        if self.tracked:
+        if self.reps is not None:
             self.reps.append(vec_scale(rep, inv, p))
         key0 = terms[0][0]
         comp, mono = -key0[2], key0[1]
-        self.solo.append(comp if all(-k[2] == comp for k, _ in terms)
-                         else None)
         # each pair is pushed once, when its later element is installed
         for lm, i in self.leads.get(comp, ()):
             lcm = mono_lcm(lm, mono)
@@ -197,22 +188,18 @@ class _Engine:
         self.leads.setdefault(comp, []).append((mono, idx))
 
     def run(self, columns, reps=None):
-        """Install the generators (with their expressions ``reps`` when
-        tracked), then treat S-pairs by increasing degree until none
-        is left."""
+        """Install the generators, then treat S-pairs by increasing
+        degree until none is left.  The run is tracked exactly when
+        ``reps``, the generators' expressions, is given."""
+        if reps is not None:
+            self.reps = []
         for k, v in enumerate(columns):
-            self._install(v.terms, reps[k] if self.tracked else None)
+            self._install(v.terms, None if reps is None else reps[k])
         p = self.p
         while self.pairs:
             _, _, i, j, lcm = heapq.heappop(self.pairs)
             ti, tj = self.vecs[i], self.vecs[j]
             mi, mj = ti[0][0][1], tj[0][0][1]
-            # the product criterion only holds for elements that act
-            # like ring elements: both supported in one shared component
-            if (not self.tracked and mono_coprime(mi, mj)
-                    and self.solo[i] is not None
-                    and self.solo[i] == self.solo[j]):
-                continue
             # chain criterion: the lcms of (i, k) and (k, j) properly
             # divide this one, so neither skip can depend on this pair
             if any(k != i and k != j and mono_divides(mk, lcm)
@@ -223,7 +210,7 @@ class _Engine:
             s = vec_add(vec_mono_mul(ti, qi, 1, p),
                         vec_mono_mul(tj, qj, p - 1, p), p)
             rep = None
-            if self.tracked:
+            if self.reps is not None:
                 rep = vec_add(vec_mono_mul(self.reps[i], qi, 1, p),
                               vec_mono_mul(self.reps[j], qj, p - 1, p), p)
             self._install(s, rep)
@@ -361,7 +348,7 @@ def kernel_projection(M, rank):
     the full ones.
     """
     _check_homogeneous_columns(M.columns, M.target)
-    eng = _Engine(M.target, tracked=True)
+    eng = _Engine(M.target)
     eng.run(M.columns, [(Vector.unit(M.ring, j).terms if j < rank else ())
                         for j in range(len(M.columns))])
     return [s for s in eng.syzygies if s]

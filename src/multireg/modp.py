@@ -2,10 +2,10 @@
 
 One kernel: ``_echelon`` eliminates sparse rows of Python ints, so the
 arithmetic is exact for every prime, into an echelon basis keyed by
-leading column, sparsest rows first.  Two entries feed it.  ``rref``
-reads a dense matrix once into such rows and back-substitutes the
-basis; ``rank`` is its pivot count.  ``rank_rows`` takes the sparse
-rows themselves and counts the basis.
+leading column, sparsest rows first.  ``rref`` and ``rank`` read a
+dense matrix once into such rows (``_sparse_rows``); ``rref``
+back-substitutes the basis, and ``rank`` counts it.  ``rank_rows``
+takes the sparse rows themselves and counts the basis.
 
 Three callers remain.  The cohomology oracle ranks the differentials
 of each Ext complex from the top down: it reads the ``rref`` pivots of
@@ -48,6 +48,21 @@ def _echelon(rows, p):
     return echelon
 
 
+def _sparse_rows(A, p):
+    """The rows of the dense 2-d matrix A as sparse dicts {column:
+    residue in [1, p)}."""
+    A = np.asarray(A)
+    if A.ndim != 2:
+        raise ValueError("expected a 2-d array")
+    rows = [{} for _ in range(A.shape[0])]
+    ii, jj = np.nonzero(A)
+    for i, j, v in zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist()):
+        v = int(v) % p
+        if v:
+            rows[i][j] = v
+    return rows
+
+
 def rref(A, p):
     """Row-reduce A over F_p.
 
@@ -55,33 +70,23 @@ def rref(A, p):
     its zero rows, as an int64 array of residues in [0, p), and pivots
     the ascending pivot columns.  len(pivots) is the rank.
     """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d array")
-    m, n = A.shape
-    rows = [{} for _ in range(m)]
-    ii, jj = np.nonzero(A)
-    for i, j, v in zip(ii.tolist(), jj.tolist(), A[ii, jj].tolist()):
-        v = int(v) % p
-        if v:
-            rows[i][j] = v
-    echelon = _echelon(rows, p)
+    echelon = _echelon(_sparse_rows(A, p), p)
     pivots = sorted(echelon)
     # back-substitute from the last pivot up: every row used is reduced
     for c in reversed(pivots):
         row = echelon[c]
         for k in [k for k in row if k != c and k in echelon]:
             _axpy(row, -row[k], echelon[k], p)
-    R = np.zeros((len(pivots), n), dtype=np.int64)
+    R = np.zeros((len(pivots), np.shape(A)[1]), dtype=np.int64)
     for i, c in enumerate(pivots):
         R[i, list(echelon[c])] = list(echelon[c].values())
     return R, pivots
 
 
 def rank(A, p):
-    """Rank of the dense matrix A over F_p: the number of pivots of
-    its ``rref``."""
-    return len(rref(A, p)[1])
+    """Rank of the dense matrix A over F_p: the size of an echelon
+    basis of its rows, with no back-substitution."""
+    return len(_echelon(_sparse_rows(A, p), p))
 
 
 def rank_rows(rows, p):

@@ -191,9 +191,11 @@ def parse_input(text, prime_override=None):
     if tok != "ring":
         raise ParseError("input must start with a 'ring' line", line, col)
     # each key's value and the (line, col) of the key, for its errors
-    keys = {"p": (32003, ())}
+    keys = {}
     while tokens.peek() in ("p", "n"):
         what, line, col = tokens.next()
+        if what in keys:
+            raise ParseError(f"ring key {what}= given twice", line, col)
         tokens.expect("=")
         value = _parse_int(tokens) if what == "p" else \
             _parse_list(tokens, _parse_int, "[]")
@@ -203,7 +205,8 @@ def parse_input(text, prime_override=None):
     n, n_at = keys["n"]
     # an overriding prime is not in the text, so its errors have no
     # position
-    p, p_at = keys["p"] if prime_override is None else (prime_override, ())
+    p, p_at = (keys.get("p", (32003, ())) if prime_override is None
+               else (prime_override, ()))
     if any(ni < 1 for ni in n):
         raise ParseError(f"factor dimensions must be >= 1, got {n}", *n_at)
     try:

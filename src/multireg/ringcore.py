@@ -258,10 +258,6 @@ def mono_lcm(a, b):
     return tuple(x if x >= y else y for x, y in zip(a, b))
 
 
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def mono_key(m):
     """Sort key of the global term order (total degree, then lex)."""
     return (sum(m), m)

@@ -57,15 +57,18 @@ def test_parse_rejects_inhomogeneous():
     assert "inhomogeneous" in str(err.value)
 
 
-@pytest.mark.parametrize("text, message", [
-    ("ring p=4 n=[1,1]\nideal x0", "not prime"),
-    ("ring n=[1,0] p=7\nideal x0", "factor dimensions"),
-], ids=["p", "n"])
-def test_parse_ring_error_cites_its_key(text, message):
-    # the key at fault, not the last key read: both start at col 6
+@pytest.mark.parametrize("text, message, col", [
+    ("ring p=4 n=[1,1]\nideal x0", "not prime", 6),
+    ("ring n=[1,0] p=7\nideal x0", "factor dimensions", 6),
+    # a second value would silently replace the first
+    ("ring p=7 p=11 n=[1,1]\nideal x0", "p= given twice", 10),
+    ("ring n=[1,1] p=7 n=[1]\nideal x0", "n= given twice", 18),
+], ids=["p", "n", "p-twice", "n-twice"])
+def test_parse_ring_error_cites_its_key(text, message, col):
+    # the key at fault, not the last key read
     with pytest.raises(ParseError, match=message) as err:
         parse_input(text)
-    assert (err.value.line, err.value.col) == (1, 6)
+    assert (err.value.line, err.value.col) == (1, col)
 
 
 def test_parse_reports_position():
@@ -327,6 +330,11 @@ def test_cli_prime_range(tmp_path, capsys):
         assert code == 2
         assert err.startswith(f"error: --prime {p}: characteristic {p} {why}")
         assert "line" not in err
+    # ci-regularity with --degrees reads no file, and still checks --prime
+    code, _, err = _run(["ci-regularity", "--degrees", "1,1", "1,2",
+                         "--prime", "4"], capsys)
+    assert code == 2
+    assert err.startswith("error: --prime 4: characteristic 4 is not prime")
 
 
 BAD_DEGREE_ARGUMENTS = [

@@ -41,6 +41,28 @@ def test_every_def_is_referenced():
     assert [d for d in defs if d.split(":")[1] not in used] == []
 
 
+def test_every_import_is_used():
+    """A name a package module imports and never reads is left over
+    from code that moved or went, such as a helper import that outlived
+    its last caller.  ``__init__`` imports to re-export."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _tree(path)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for a in node.names:
+                    name = a.asname or a.name.split(".")[0]
+                    bound[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}:{name}"
+                   for name, line in bound.items() if name not in read]
+    assert unused == []
+
+
 def _imports(name):
     """Top-level modules and imported names of one package module."""
     imported = set()
