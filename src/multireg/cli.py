@@ -109,7 +109,7 @@ def _render_region(args, region, warnings_seen=()):
 def _module_of(args):
     job = _load_job(args)
     M = job.module()
-    if getattr(args, "truncate_at", None):
+    if getattr(args, "truncate_at", None) is not None:
         M = truncate_module(
             M, _parse_degree(args.truncate_at, job.ring.r, "--truncate-at"))
     return job, M
@@ -123,9 +123,7 @@ def cmd_betti(args):
 
 
 def cmd_truncate(args):
-    job = _load_job(args)
-    d = _parse_degree(args.truncate_at, job.ring.r, "--truncate-at")
-    M = truncate_module(job.module(), d)
+    job, M = _module_of(args)
     def render():
         lines = [f"generators: {[list(t) for t in M.F0.twists]}",
                  f"relations: {M.relations.source.rank}"]

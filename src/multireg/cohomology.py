@@ -247,12 +247,16 @@ def _ext_dims_at(pieces, twists, entries, pdeg, max_index):
     target rows are all pivots takes no ``mult_matrix``, a block with
     no pivot rows is copied whole, and a matrix with no kept rows has
     rank 0.
+
+    A bracket-power complex has nvars - r + 2 = max_index + 1 terms,
+    so ``ranks`` ends in a 0 for the map out of the top term, which
+    ``ranks[-1]`` also reads as the map into term 0.
     """
     p = pieces.ring.p
     degrees = [[deg_add(pdeg, tw) for tw in tws] for tws in twists]
     offsets = [list(accumulate((pieces.dim(e) for e in degs), initial=0))
                for degs in degrees]
-    ranks = [0] * len(entries)
+    ranks = [0] * (max_index + 1)
     pivots = []  # ascending pivot columns of the differential above
     for j in reversed(range(len(entries))):
         rows, cols = offsets[j + 1], offsets[j]
@@ -280,13 +284,8 @@ def _ext_dims_at(pieces, twists, entries, pdeg, max_index):
             ranks[j] = len(pivots)
         else:
             ranks[j] = modp.rank(A, p)
-    out = {}
-    for i in range(max_index + 1):
-        d = offsets[i][-1] if i < len(offsets) else 0
-        r_i = ranks[i] if i < len(ranks) else 0
-        r_prev = ranks[i - 1] if 0 < i <= len(ranks) else 0
-        out[i] = d - r_i - r_prev
-    return out
+    return {i: offsets[i][-1] - ranks[i] - ranks[i - 1]
+            for i in range(max_index + 1)}
 
 
 def default_t_start(box):
@@ -331,13 +330,11 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
         return out
 
     prev = table_at(t_start)
-    t = t_start
-    while t < t_cap:
+    for t in range(t_start, t_cap):
         nxt = table_at(t + 1)
         if nxt == prev:
             return CohomologyTable((lo, hi), prev, t, max_index)
         prev = nxt
-        t += 1
     raise StabilizationNotReached(
         f"Ext dimensions did not stabilize by t={t_cap}; grow the cap "
         "or shrink the box", t_last=t_cap)

@@ -475,7 +475,8 @@ def _common_colon(pairs):
     This is the kernel of F -> (+)_j F/N_j, v -> (g_j*v)_j, projected
     to F.  Block j of the stacked target is F twisted down by deg(g_j),
     so the column of each generator of F keeps that generator's degree
-    whatever the degrees of the g_j.
+    whatever the degrees of the g_j.  The generators returned are the
+    reduced Groebner basis, so equal colons give equal matrices.
     """
     F = pairs[0][0].target
     if any(N.target != F for N, _ in pairs):
@@ -498,7 +499,7 @@ def _common_colon(pairs):
                                _canonical=True))
             twists.append(deg_sub(tw, shifts[j]))
     big = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
-    return _span_matrix(kernel_projection(big, rank), F)
+    return buchberger(kernel_projection(big, rank), F).as_matrix()
 
 
 def colon(N, f):
@@ -516,16 +517,6 @@ def colon_by_ideal(N, gens):
     if not gens:
         raise ValueError("colon by the zero ideal")
     return _common_colon([(N, g) for g in gens])
-
-
-def _span_matrix(vectors, ambient):
-    """Package vectors as a matrix into ambient, with canonical
-    (reduced Groebner) generators for stable comparisons."""
-    gb = buchberger(vectors, ambient) if vectors else None
-    if gb is None or not gb.elements:
-        return MatrixOverS(FreeModuleSpec(ambient.ring, ()), ambient, (),
-                           check=False)
-    return gb.as_matrix()
 
 
 def submodules_equal(A, B):
@@ -562,7 +553,7 @@ def saturate(N, J):
     Each round computes the simultaneous colon (N : J), which equals
     the intersection of the one-generator colons.
     """
-    cur = _span_matrix(list(N.columns), N.target)
+    cur = buchberger(N).as_matrix()
     while True:
         nxt = colon_by_ideal(cur, J)
         if cur.columns == nxt.columns:

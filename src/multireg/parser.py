@@ -26,6 +26,7 @@ from .ringcore import (
     Poly,
     Presentation,
     RingSpec,
+    Vector,
     zero_degree,
 )
 
@@ -60,8 +61,7 @@ class _Tokens:
 
     def next(self):
         if self.k >= len(self.items):
-            last = self.items[-1] if self.items else (None, 0, 0)
-            raise ParseError("unexpected end of input", last[1], last[2])
+            self.error("unexpected end of input")
         tok = self.items[self.k]
         self.k += 1
         return tok
@@ -73,13 +73,19 @@ class _Tokens:
         return tok
 
     def error(self, message):
-        if self.k < len(self.items):
-            _, line, col = self.items[self.k]
-        elif self.items:
-            _, line, col = self.items[-1]
-        else:
-            line = col = 1
+        # at the next token, else the last one, else 1, 1 of no input
+        _, line, col = (self.items[min(self.k, len(self.items) - 1)]
+                        if self.items else (None, 1, 1))
         raise ParseError(message, line, col)
+
+
+def _int(tok, line, col):
+    """A digit token's value; Python refuses over 4,300 digits by default."""
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"integer of {len(tok)} digits is too long",
+                         line, col) from None
 
 
 def _parse_int(tokens):
@@ -90,7 +96,7 @@ def _parse_int(tokens):
         tok, line, col = tokens.next()
     if not tok.isdigit():
         raise ParseError(f"expected an integer, found {tok!r}", line, col)
-    return sign * int(tok)
+    return sign * _int(tok, line, col)
 
 
 def _parse_list(tokens, item, brackets=None, sep=","):
@@ -110,6 +116,15 @@ def _parse_list(tokens, item, brackets=None, sep=","):
 # polynomial grammar: expr := term (('+'|'-') term)*;
 # term := factor ('*' factor)*; factor := atom ('^' num)?;
 # atom := num | var | '(' expr ')' | '-' factor
+
+def _parse_nested_poly(tokens, ring):
+    """One polynomial; nesting too deep for the recursion below is a
+    ParseError at the token where it stopped."""
+    try:
+        return _parse_poly(tokens, ring)
+    except RecursionError:
+        tokens.error("polynomial nested too deeply")
+
 
 def _parse_poly(tokens, ring):
     f = _parse_term(tokens, ring)
@@ -148,7 +163,7 @@ def _parse_atom(tokens, ring):
         tokens.expect(")")
         return f
     if tok.isdigit():
-        return Poly.constant(ring, int(tok))
+        return Poly.constant(ring, _int(tok, line, col))
     idx = ring.var_by_name(tok)
     if idx is None:
         raise ParseError(f"unknown variable {tok!r}", line, col)
@@ -158,7 +173,7 @@ def _parse_atom(tokens, ring):
 def poly_from_string(ring, text):
     """Parse one polynomial over the ring."""
     tokens = _Tokens(text)
-    f = _parse_poly(tokens, ring)
+    f = _parse_nested_poly(tokens, ring)
     if tokens.peek() is not None:
         tokens.error("trailing input after polynomial")
     return f
@@ -217,7 +232,7 @@ def parse_input(text, prime_override=None):
     tok, line, col = tokens.next()
 
     def poly(tk):
-        return _parse_poly(tk, ring)
+        return _parse_nested_poly(tk, ring)
 
     if tok == "ideal":
         gens = _parse_list(tokens, poly, sep=";")
@@ -277,11 +292,11 @@ def parse_input(text, prime_override=None):
                         f"column {l + 1} mixes degrees {deg} and {total}",
                         line3, col3)
             col_degs.append(deg if deg is not None else zero_degree(ring.r))
-        src = FreeModuleSpec(ring, col_degs)
-        try:
-            rel = MatrixOverS.from_entries(src, F0, entries)
-        except InhomogeneousError as exc:
-            raise ParseError(str(exc), line3, col3) from exc
+        # every entry was checked above, so the matrix need not be
+        cols = [Vector.from_components([row[l] for row in entries])
+                for l in range(ncols)]
+        rel = MatrixOverS(FreeModuleSpec(ring, col_degs), F0, cols,
+                          check=False)
         return JobSpec(ring, "module",
                        presentation=Presentation(F0, rel))
     raise ParseError(f"expected 'ideal' or 'module', found {tok!r}",

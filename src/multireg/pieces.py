@@ -59,8 +59,6 @@ def _scaled(vals, c, p):
         return vals
     if c == p - 1:
         return p - vals
-    if p < 1 << 31:
-        return vals * c % p
     return np.array([v * c % p for v in vals.tolist()], dtype=np.int64)
 
 

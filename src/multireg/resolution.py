@@ -123,12 +123,8 @@ class BettiTable:
 
 def is_minimal_complex(C):
     """True when no differential entry is a nonzero constant."""
-    for d in C.differentials:
-        for col in d.columns:
-            for (tot, m, negc), _ in col.terms:
-                if tot == 0:
-                    return False
-    return True
+    return all(_lowest_unit([col.terms for col in d.columns]) is None
+               for d in C.differentials)
 
 
 # ---------------------------------------------------------------------------

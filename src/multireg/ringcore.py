@@ -63,7 +63,7 @@ def checked_prime(p):
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if p >= 2 ** 62:
-        # matrices hold residues as int64 and sum two of them
+        # matrices store residues as int64; 2^62 keeps a bit to spare
         raise ValueError(f"characteristic {p} is too large: "
                          "need p < 2^62")
     return p
@@ -138,10 +138,12 @@ class RingSpec:
     Variables are indexed 0..nvars-1, grouped into blocks of n_i + 1
     per factor.  Canonical names are ``v{i}_{j}`` (factor i is
     1-based); for up to four factors the aliases x, y, z, w are used
-    for printing and accepted in input.
+    for printing and accepted in input, and on a ring of more factors
+    they still name the first four.
     """
 
-    __slots__ = ("r", "n", "p", "nvars", "var_factor", "_block_start", "_names")
+    __slots__ = ("r", "n", "p", "nvars", "var_factor", "_block_start",
+                 "_names", "_index")
 
     def __init__(self, n, p=DEFAULT_PRIME):
         n = tuple(int(x) for x in n)
@@ -162,14 +164,15 @@ class RingSpec:
         self.nvars = pos
         self.var_factor = tuple(var_factor)
         self._block_start = tuple(starts) + (pos,)
-        names = []
-        for i, ni in enumerate(n):
-            for j in range(ni + 1):
-                if self.r <= len(_ALIAS_LETTERS):
-                    names.append(f"{_ALIAS_LETTERS[i]}{j}")
-                else:
-                    names.append(f"v{i + 1}_{j}")
-        self._names = tuple(names)
+        canonical = [f"v{i + 1}_{v - starts[i]}"
+                     for v, i in enumerate(var_factor)]
+        # the aliases name a prefix of the variables: the first four blocks
+        alias = [f"{_ALIAS_LETTERS[i]}{v - starts[i]}"
+                 for v, i in enumerate(var_factor) if i < len(_ALIAS_LETTERS)]
+        self._names = tuple(alias if self.r <= len(_ALIAS_LETTERS)
+                            else canonical)
+        self._index = {name: v for names in (canonical, alias)
+                       for v, name in enumerate(names)}
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec)
@@ -181,12 +184,6 @@ class RingSpec:
     def __repr__(self):
         return f"RingSpec(n={list(self.n)}, p={self.p})"
 
-    def variable_index(self, factor, j):
-        """Index of the j-th variable of the given 0-based factor."""
-        if not (0 <= factor < self.r and 0 <= j <= self.n[factor]):
-            raise ValueError(f"no variable ({factor}, {j})")
-        return self._block_start[factor] + j
-
     def block(self, factor):
         """range of variable indices belonging to one factor."""
         return range(self._block_start[factor], self._block_start[factor + 1])
@@ -196,21 +193,7 @@ class RingSpec:
 
     def var_by_name(self, name):
         """Resolve a variable name, canonical or alias; None if unknown."""
-        if name in self._names:
-            return self._names.index(name)
-        if name.startswith("v") and "_" in name:
-            try:
-                i, j = name[1:].split("_", 1)
-                return self.variable_index(int(i) - 1, int(j))
-            except (ValueError, IndexError):
-                return None
-        if len(name) >= 2 and name[0] in _ALIAS_LETTERS:
-            i = _ALIAS_LETTERS.index(name[0])
-            try:
-                return self.variable_index(i, int(name[1:]))
-            except (ValueError, IndexError):
-                return None
-        return None
+        return self._index.get(name)
 
     def monomial_degree(self, m):
         """Multidegree of an exponent tuple: per-block exponent sums."""
@@ -516,10 +499,6 @@ class Vector:
             self.terms = terms
         else:
             self.terms = tuple(sorted(terms, key=lambda t: t[0], reverse=True))
-
-    @classmethod
-    def zero(cls):
-        return cls ((), _canonical=True)
 
     @classmethod
     def unit(cls, ring, comp):

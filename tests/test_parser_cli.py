@@ -77,6 +77,24 @@ def test_parse_reports_position():
     assert err.value.line == 2
 
 
+def test_parse_empty_input_reports_line_one():
+    for text in ("", "# nothing but a comment\n"):
+        with pytest.raises(ParseError, match="end of input") as err:
+            parse_input(text)
+        assert (err.value.line, err.value.col) == (1, 1)
+
+
+@pytest.mark.parametrize("ideal, col", [
+    ("x0^" + "9" * 4301, 10),
+    ("9" * 4301 + "*x0", 7),
+], ids=["exponent", "coefficient"])
+def test_parse_rejects_overlong_integer(ideal, col):
+    # Python refuses to read more than 4,300 digits as an int
+    with pytest.raises(ParseError, match="4301 digits") as err:
+        parse_input(f"ring p=32003 n=[1,1]\nideal {ideal}")
+    assert (err.value.line, err.value.col) == (2, col)
+
+
 def test_poly_parser_precedence(P11):
     f = poly_from_string(P11, "x0^2 - 2*x0*x1 + x1^2")
     g = poly_from_string(P11, "(x0 - x1)^2")
@@ -267,6 +285,36 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("ring p=32003 n=[0]\nideal x0\n")
     code, out, err = _run(["betti", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("ideal", [
+    "(" * 300 + "x0" + ")" * 300,
+    "-" * 600 + "x0",
+], ids=["parentheses", "minus-signs"])
+def test_cli_deep_nesting_is_a_parse_error(tmp_path, capsys, P11, ideal):
+    # deeper than the recursive descent can go: exit 2 with the
+    # position where parsing stopped, not a RecursionError traceback
+    job = tmp_path / "deep.mr"
+    job.write_text(f"ring p=32003 n=[1,1]\nideal {ideal}\n")
+    code, out, err = _run(["betti", str(job)], capsys)
+    assert code == 2
+    assert err.startswith("error: line 2, col ") and err.count("\n") == 1
+    assert "nested too deeply" in err
+    with pytest.raises(ParseError, match="nested too deeply"):
+        poly_from_string(P11, ideal)
+
+
+@pytest.mark.parametrize("n, name", [
+    ("1,2", "x01"),
+    ("1,2", "v01_0"),
+    ("10,1", "x1_0"),
+])
+def test_cli_rejects_numeric_variable_spelling(tmp_path, capsys, n, name):
+    job = tmp_path / "name.mr"
+    job.write_text(f"ring p=32003 n=[{n}]\nideal {name}*y0\n")
+    code, out, err = _run(["betti", str(job)], capsys)
+    assert code == 2
+    assert f"line 2, col 7: unknown variable {name!r}" in err
 
 
 def test_cli_computation_error_exit_code(tmp_path, capsys):

@@ -33,15 +33,30 @@ def test_ring_validation():
 
 def test_variable_names():
     R = RingSpec((1, 2))
-    assert R.var_name(0) == "x0"
-    assert R.var_name(4) == "y2"
-    assert R.var_by_name("y1") == 3
-    assert R.var_by_name("v1_0") == 0
-    assert R.var_by_name("v2_2") == 4
+    aliases = ["x0", "x1", "y0", "y1", "y2"]
+    canonical = ["v1_0", "v1_1", "v2_0", "v2_1", "v2_2"]
+    assert [R.var_by_name(v) for v in aliases] == list(range(5))
+    assert [R.var_by_name(v) for v in canonical] == list(range(5))
+    assert [R.var_name(i) for i in range(5)] == aliases
     assert R.var_by_name("q7") is None
+    # past four factors the canonical names print, and x, y, z, w
+    # still name the first four factors
     R5 = RingSpec((1, 1, 1, 1, 1))
-    assert R5.var_name(0) == "v1_0"
-    assert R5.var_by_name("v5_1") == 9
+    canonical = [f"v{i}_{j}" for i in range(1, 6) for j in range(2)]
+    assert [R5.var_by_name(v) for v in canonical] == list(range(10))
+    assert [R5.var_by_name(f"{a}{j}") for a in "xyzw"
+            for j in range(2)] == list(range(8))
+    assert [R5.var_name(i) for i in range(10)] == canonical
+
+
+@pytest.mark.parametrize("n, name", [
+    ((1, 2), "x01"),
+    ((1, 2), "v01_0"),
+    # int() reads "1_0" as 10
+    ((10, 1), "x1_0"),
+])
+def test_numeric_spellings_are_unknown(n, name):
+    assert RingSpec(n).var_by_name(name) is None
 
 
 def test_monomials_of_degree_unit(P12):

@@ -41,6 +41,40 @@ def test_every_def_is_referenced():
     assert [d for d in defs if d.split(":")[1] not in used] == []
 
 
+def test_every_class_constructor_is_called():
+    """A classmethod or staticmethod C.m of the package must be read
+    as C.m in the package or its tests, or as cls.m inside C.  The
+    check above counts any attribute of the same name as a use, so a
+    constructor outlives its last caller whenever another class has
+    one of the same name."""
+    wanted = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in _tree(path).body:
+            if isinstance(cls, ast.ClassDef):
+                wanted += [(cls.name, node.name) for node in cls.body
+                           if isinstance(node, ast.FunctionDef)
+                           and any(isinstance(d, ast.Name)
+                                   and d.id in ("classmethod",
+                                                "staticmethod")
+                                   for d in node.decorator_list)]
+    def reads(node):
+        return [(n.value.id, n.attr) for n in ast.walk(node)
+                if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name)]
+
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(
+            (ROOT / "tests").glob("*.py")):
+        tree = _tree(path)
+        read.update(reads(tree))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                read.update((cls.name, m) for owner, m in reads(cls)
+                            if owner == "cls")
+    assert wanted
+    assert [f"{c}.{m}" for c, m in wanted if (c, m) not in read] == []
+
+
 def test_every_import_is_used():
     """A name a package module imports and never reads is left over
     from code that moved or went, such as a helper import that outlived
