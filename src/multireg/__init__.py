@@ -21,7 +21,6 @@ from .errors import (
     NotSaturatedError,
     ParseError,
     RingMismatchError,
-    StabilizationNotReached,
 )
 from .groebner import (
     GroebnerBasis,

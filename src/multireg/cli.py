@@ -18,7 +18,7 @@ import re
 import sys
 import warnings
 
-from .cohomology import default_t_start, local_cohomology_box
+from .cohomology import local_cohomology_box
 from .errors import MultiregError, ParseError
 from .groebner import ideal_matrix, irrelevant_ideal, saturate
 from .parser import parse_input
@@ -248,23 +248,13 @@ def cmd_region(args):
 
 
 def cmd_cohomology(args):
-    for flag, t in (("--t-start", args.t_start), ("--t-cap", args.t_cap)):
-        if t is not None and t < 1:
-            raise ParseError(f"{flag} {t} must be >= 1")
     job, M = _module_of(args)
     if args.box:
         box = _parse_box(args.box, job.ring.r)
     else:
         r = M.ring.r
         box = (tuple(-n - 1 for n in M.ring.n), (2,) * r)
-    t_start = args.t_start
-    if t_start is None:
-        t_start = default_t_start(box)
-    if args.t_cap is not None and args.t_cap <= t_start:
-        given = "" if args.t_start is not None else " (its default here)"
-        raise ParseError(f"--t-cap {args.t_cap} must exceed --t-start "
-                         f"{t_start}{given}")
-    table = local_cohomology_box(M, box, t_start=t_start, t_cap=args.t_cap)
+    table = local_cohomology_box(M, box)
     _emit(args, table.to_json(), table.pretty)
     return 0
 
@@ -371,8 +361,6 @@ def build_parser():
                        help="local cohomology table over a degree box")
     _add_common(s, truncate=True)
     s.add_argument("--box", default=None, metavar="a,b:c,d")
-    s.add_argument("--t-start", type=int, default=None)
-    s.add_argument("--t-cap", type=int, default=None)
     s.set_defaults(fn=cmd_cohomology)
 
     s = sub.add_parser("saturate",

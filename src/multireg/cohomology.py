@@ -22,10 +22,11 @@ the rows at the free columns of the reduced echelon form of the one
 above: the image of a differential lies in the kernel of the next,
 and projecting onto the free columns is injective on that kernel, so
 the rank is unchanged and about half the rows are never eliminated
-(``_ext_dims_at`` gives the proof).  The limit is detected
-empirically: the table is accepted once two consecutive values of t
-agree across the whole degree box, and the result carries the t used
-and a heuristic flag.
+(``_ext_dims_at`` gives the proof).  The table is exact from a
+power that the leads of the module's Groebner basis bound
+(``_certified_power``); below it, two consecutive powers that agree
+across the whole degree box are accepted as a heuristic answer, and the
+result carries the power used and whether it is certified.
 """
 
 from bisect import bisect_left
@@ -35,7 +36,7 @@ from math import comb
 import numpy as np
 
 from . import modp
-from .errors import BoxTooSmall, StabilizationNotReached
+from .errors import BoxTooSmall
 from .pieces import GradedPieces
 from .regions import Region
 from .resolution import FreeComplex
@@ -51,6 +52,7 @@ from .ringcore import (
     deg_leq,
     deg_max,
     deg_sub,
+    mono_lcm,
     term_key,
     unit_degree,
     zero_degree,
@@ -159,17 +161,18 @@ def bracket_power_complex(ring, t):
 
 class CohomologyTable:
     """Local cohomology dimensions over a finite degree box, indexed
-    (cohomological degree, multidegree), with the stabilization
-    parameter recorded; entries are Ext approximations accepted after
-    two consecutive steps agreed, hence 'heuristically stabilized'."""
+    (cohomological degree, multidegree), with the power of the Ext
+    table recorded and whether that power is certified
+    (``_certified_power``) or only agreed with the next one."""
 
-    __slots__ = ("box", "data", "t_used", "max_index")
+    __slots__ = ("box", "data", "t_used", "max_index", "certified")
 
-    def __init__(self, box, data, t_used, max_index):
+    def __init__(self, box, data, t_used, max_index, certified):
         self.box = (tuple(box[0]), tuple(box[1]))
         self.data = dict(data)
         self.t_used = t_used
         self.max_index = max_index
+        self.certified = certified
 
     def dim(self, i, pdeg):
         pdeg = checked_degree(pdeg, len(self.box[0]))
@@ -183,8 +186,9 @@ class CohomologyTable:
         return sorted((i, p) for (i, p), v in self.data.items() if v)
 
     def pretty(self):
+        how = "certified" if self.certified else "heuristically stabilized"
         lines = [f"local cohomology over box {self.box[0]}..{self.box[1]}"
-                 f" (heuristically stabilized at t={self.t_used})"]
+                 f" ({how} at t={self.t_used})"]
         if len(self.box[0]) == 2:
             for i in range(self.max_index + 1):
                 if not any(v for (j, _), v in self.data.items() if j == i):
@@ -205,7 +209,7 @@ class CohomologyTable:
             "schema": "multireg/cohomology/v1",
             "box": [list(self.box[0]), list(self.box[1])],
             "t_used": self.t_used,
-            "heuristic": True,
+            "heuristic": not self.certified,
             "entries": [{"i": i, "degree": list(p), "dim": v}
                         for (i, p), v in sorted(self.data.items()) if v],
         }
@@ -289,32 +293,83 @@ def _ext_dims_at(pieces, twists, entries, pdeg, max_index):
 
 
 def default_t_start(box):
-    """First power the oracle tries over a box: 2 plus the depth of
-    its most negative coordinate, which is what the direct limit is
-    sensitive to."""
+    """First power the oracle tries over a box when its certified
+    power is larger: 2 plus the depth of its most negative coordinate,
+    which is what the direct limit is sensitive to."""
     return 2 + max(0, -min(box[0]))
 
 
-def local_cohomology_box(M, box, t_start=None, t_cap=None):
+def _certified_power(pieces, lo):
+    """A power t_cert from which the Ext table over a box with lower
+    corner lo is the local cohomology itself:
+
+        t_cert = max(1, max over k, i of (tw_k + deg lcm_k)_i - lo_i - n_i)
+
+    where tw_k is the twist of component k of F_0 and lcm_k the lcm of
+    the leads of the Groebner basis in component k (tw_k alone when k
+    has no leads).  The proof has three steps.
+
+    1. The ring.  B is squarefree and B^[t] is its bracket power, so
+    the natural map Ext^q(S/B^[t], S) -> H^q_B(S) is injective, and
+    its image is the sum of the fine (Z^nvars) degrees beta with every
+    coordinate >= -t (Mustata, "Local cohomology at monomial ideals",
+    JSC 29, 2000).  A fine piece of H^q_B(S) of coarse degree e is, by
+    the Kunneth formula, a tensor product of one piece per factor:
+    monomials on block i, with every exponent >= 0, or the top local
+    cohomology of block i, spanned by inverse monomials whose n_i + 1
+    exponents are all <= -1 and sum to e_i, so that each of them is
+    >= e_i + n_i.  So every coordinate of a nonzero fine degree is
+    >= min(0, e_i + n_i) on block i, and the map is an isomorphism in
+    degree e once t >= 1 and t >= -e_i - n_i for every i.  For a twist
+    S(-b) read e = a - b: it is exact in degree a once t >= 1 and
+    t >= b_i - a_i - n_i for every i.
+
+    2. Modules.  Take any finite free resolution F of M, and let G^[t]
+    be ``bracket_power_complex(ring, t)``.  Hom(G^[t], -) is exact, so
+    the double complex Hom(G^[t], F) computes Ext(S/B^[t], M); direct
+    limits are exact, so its limit over t computes H_B(M).  The maps
+    into the limit are a morphism between the two bounded spectral
+    sequences, with E_1 terms Ext^q(S/B^[t], F_p)_a and H^q_B(F_p)_a.
+    If every E_1 map is an isomorphism in degree a, so is every
+    E_infinity map and so is Ext^q(S/B^[t], M)_a -> H^q_B(M)_a.
+
+    3. Twists.  Take for F the Schreyer resolution built from the
+    Groebner basis (``schreyer_frame``).  F_0 has the twists tw_k.  By
+    the induction in that docstring, each element of a level >= 1
+    stands for a set of level-one elements of one component k; the
+    lifted lead of the syzygy of two elements over a common parent is
+    the lcm of theirs, so by the same induction its lifted lead is the
+    lcm of its set's leads, and its twist is at most tw_k + deg lcm_k.
+    Every degree a of the box has a >= lo, so t_cert meets step 1 for
+    every twist of F at every a, and step 2 makes the table exact.
+    """
+    ring = pieces.ring
+    lcms = {}
+    for g in pieces.gb.elements:
+        (k, mono), _ = g.lead()
+        lcms[k] = mono_lcm(lcms.get(k, mono), mono)
+    t = 1
+    for k, tw in enumerate(pieces.F0.twists):
+        if k in lcms:
+            tw = deg_add(tw, ring.monomial_degree(lcms[k]))
+        t = max(t, *(b - a - n for b, a, n in zip(tw, lo, ring.n)))
+    return t
+
+
+def local_cohomology_box(M, box):
     """Local cohomology dimensions of a presented module over a finite
     degree box, via the Ext direct limit.
 
-    Starting from ``t_start`` (default ``default_t_start(box)``), the
-    Ext dimensions against the bracket power at t are computed for
-    each degree in the box and each index up to dim X + 1; the first t
-    whose table equals the table at t + 1 is accepted.  Raises
-    StabilizationNotReached past the cap (default t_start + 6), and
-    ValueError up front when the cap leaves no two powers to compare.
+    The Ext dimensions against the bracket power at t are computed
+    for each degree in the box and each index up to dim X + 1, from
+    t = min(``default_t_start(box)``, t_cert) upwards, where t_cert is
+    ``_certified_power``.  The first table that equals the next one
+    is returned as a heuristic answer, unless the next one is the
+    table at t_cert, which is returned as certified; so at most
+    t_cert - t + 1 tables are built.
     """
     ring = M.ring
     lo, hi = checked_box(box, ring.r)
-    if t_start is None:
-        t_start = default_t_start((lo, hi))
-    if t_cap is None:
-        t_cap = t_start + 6
-    if t_cap <= t_start:
-        raise ValueError(f"t_cap {t_cap} must exceed t_start {t_start}: "
-                         "stabilization compares consecutive powers")
     max_index = sum(ring.n) + 1
     pieces = GradedPieces.of(M)
     points = box_points((lo, hi))
@@ -329,15 +384,15 @@ def local_cohomology_box(M, box, t_start=None, t_cap=None):
                     out[(i, pdeg)] = v
         return out
 
-    prev = table_at(t_start)
-    for t in range(t_start, t_cap):
+    t_cert = _certified_power(pieces, lo)
+    t = min(default_t_start((lo, hi)), t_cert)
+    data = table_at(t)
+    while t < t_cert:
         nxt = table_at(t + 1)
-        if nxt == prev:
-            return CohomologyTable((lo, hi), prev, t, max_index)
-        prev = nxt
-    raise StabilizationNotReached(
-        f"Ext dimensions did not stabilize by t={t_cap}; grow the cap "
-        "or shrink the box", t_last=t_cap)
+        if nxt == data and t + 1 < t_cert:
+            return CohomologyTable((lo, hi), data, t, max_index, False)
+        t, data = t + 1, nxt
+    return CohomologyTable((lo, hi), data, t, max_index, True)
 
 
 def _vanishing_regions(ring, d):
@@ -371,11 +426,11 @@ def check_regularity_by_definition(M, d, table=None):
 
     The box is that of ``table``, a ``local_cohomology_box`` of M,
     which may be passed to amortize sweeps over many d or to choose
-    another box or other powers.  Without one, a table is built over
-    the default box: it spans the required corners and extends one step
-    past d + n above, where the remaining vanishing is Serre-style in
-    all the examples this library targets.  The box must contain every
-    required corner (BoxTooSmall otherwise).
+    another box.  Without one, a table is built over the default box:
+    it spans the required corners and extends one step past d + n
+    above, where the remaining vanishing is Serre-style in all the
+    examples this library targets.  The box must contain every required
+    corner (BoxTooSmall otherwise).
     """
     ring = M.ring
     d = checked_degree(d, ring.r)

@@ -19,15 +19,6 @@ class NotSaturatedError(MultiregError):
     cohomology check."""
 
 
-class StabilizationNotReached(MultiregError):
-    """The Ext approximations of local cohomology did not agree on two
-    consecutive steps before hitting the cap; enlarge the cap or box."""
-
-    def __init__(self, message, t_last=None):
-        super().__init__(message)
-        self.t_last = t_last
-
-
 class BoxTooSmall(MultiregError):
     """The degree box does not contain the corners that the vanishing
     check needs."""

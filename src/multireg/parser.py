@@ -15,9 +15,12 @@ or a presented module by generator rows and a relation matrix:
 Variables are x0.., y0.., z0.., w0.. for up to four factors, or
 v{i}_{j} in general.  Polynomials use +, -, *, ^ and integer
 coefficients; '#' starts a comment.  Errors carry line and column.
+A power of a polynomial with two or more terms is expanded only when
+it takes at most MAX_POWER_PRODUCTS coefficient products.
 """
 
 import re
+from math import comb
 
 from .errors import InhomogeneousError, ParseError
 from .ringcore import (
@@ -143,6 +146,30 @@ def _parse_term(tokens, ring):
     return f
 
 
+# Coefficient products one power may take at parse time: about 2 s on
+# a 2-core Xeon VM, where (x0+x1)^1000 takes 0.42M of them.
+MAX_POWER_PRODUCTS = 10 ** 6
+
+
+def _power_products(nterms, e):
+    """Coefficient products ``Poly.__pow__`` takes for the e-th power
+    of an nterms-term polynomial, each factor at its bound of
+    comb(nterms + k - 1, k) terms for its exponent k; the count stops
+    once it is past MAX_POWER_PRODUCTS."""
+    def size(k):
+        return comb(nterms + k - 1, k)
+    cost, out, base = 0, 0, 1
+    while e and cost <= MAX_POWER_PRODUCTS:
+        if e & 1:
+            cost += size(out) * size(base)
+            out += base
+        e >>= 1
+        if e:
+            cost += size(base) ** 2
+            base *= 2
+    return cost
+
+
 def _parse_factor(tokens, ring):
     f = _parse_atom(tokens, ring)
     if tokens.peek() == "^":
@@ -150,6 +177,12 @@ def _parse_factor(tokens, ring):
         e = _parse_int(tokens)
         if e < 0:
             tokens.error("negative exponent")
+        if len(f.terms) > 1 and \
+                _power_products(len(f.terms), e) > MAX_POWER_PRODUCTS:
+            _, line, col = tokens.items[tokens.k - 1]
+            raise ParseError(
+                f"this power of a {len(f.terms)}-term polynomial takes over "
+                f"{MAX_POWER_PRODUCTS:,} coefficient products", line, col)
         f = f ** e
     return f
 

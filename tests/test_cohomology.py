@@ -8,7 +8,6 @@ from multireg import (
     BoxTooSmall,
     Presentation,
     RingSpec,
-    StabilizationNotReached,
     check_regularity_by_definition,
     free_resolution,
     hilbert_function,
@@ -32,7 +31,8 @@ from multireg.cohomology import (
 from multireg.pieces import GradedPieces
 from multireg.regularity import classify_resolution
 from multireg.resolution import betti
-from multireg.ringcore import box_points, count_monomials, deg_add
+from multireg.ringcore import (FreeModuleSpec, box_points, count_monomials,
+                               deg_add, deg_sub)
 
 from .conftest import (free_basis_of_degree, full_rank_ext_dims,
                        saturated_corpus)
@@ -133,7 +133,7 @@ def test_local_cohomology_of_ring_cross_agreement(P11):
 
 def test_local_cohomology_of_ring_spot_p12(P12):
     S = Presentation.free(P12)
-    tab = local_cohomology_box(S, ((-3, -4), (-1, -2)), t_start=3)
+    tab = local_cohomology_box(S, ((-3, -4), (-1, -2)))
     for i in (3, 4):
         for pdeg in [(-2, -3), (-1, -3), (-2, -4), (-1, -2)]:
             assert tab.dim(i, pdeg) == structure_sheaf_local_cohomology(
@@ -142,7 +142,7 @@ def test_local_cohomology_of_ring_spot_p12(P12):
 
 def test_sb_torsion_class(P11):
     SB = Presentation.quotient_by_ideal(P11, irrelevant_ideal(P11))
-    tab = local_cohomology_box(SB, ((0, 0), (1, 1)), t_start=2)
+    tab = local_cohomology_box(SB, ((0, 0), (1, 1)))
     assert tab.dim(0, (0, 0)) == 1
 
 
@@ -153,8 +153,8 @@ def test_truncation_cohomology_identity(not_linear_module):
     d = (1, 1)
     T = truncate_module(M, d)
     box = ((0, 0), (3, 3))
-    tm = local_cohomology_box(M, box, t_start=4)
-    tt = local_cohomology_box(T, box, t_start=4)
+    tm = local_cohomology_box(M, box)
+    tt = local_cohomology_box(T, box)
     for i in range(2, tm.max_index + 1):
         for pdeg in itertools.product(range(0, 4), repeat=2):
             assert tm.dim(i, pdeg) == tt.dim(i, pdeg), (i, pdeg)
@@ -166,7 +166,7 @@ def test_truncation_cohomology_identity(not_linear_module):
 # local_cohomology_box over [-1,1]^r: t_used and the nonzero entries
 # {(i, degree): dim}
 EXT_TABLES = {
-    "not_linear": (3, {
+    "not_linear": (2, {
         (1, (-1, 1)): 2, (2, (-1, -1)): 4, (2, (-1, 0)): 2,
         (2, (-1, 1)): 2, (2, (0, -1)): 2}),
     "two_points": (3, {
@@ -188,25 +188,32 @@ EXT_TABLES = {
 def test_ext_tables_are_pinned(name):
     """The oracle's tables on three data files, as computed when the
     graded pieces were still filtered from the free pieces and every
-    block was read per degree."""
+    block was read per degree.  not_linear's table is certified at
+    t = 2, one power below the first one the heuristic tried."""
     M = parse_input((DATA / f"{name}.mr").read_text()).module()
     r = M.ring.r
     table = local_cohomology_box(M, ((-1,) * r, (1,) * r))
     assert (table.t_used, table.data) == EXT_TABLES[name]
 
 
-def test_ext_dims_match_full_ranks(P11, P12):
-    """Ranking each differential only on the free coordinates of the
-    one above gives the Ext dimensions of ranking every differential
-    whole, at every degree of [-1,0]^r and at the first two powers the
-    oracle tries there."""
+def _ext_modules(P11, P12):
+    """The data files, seeded corpora on P1xP1 and P1xP2, and one
+    module over p = 2^61 - 1."""
     modules = [parse_input(path.read_text()).module()
                for path in sorted(DATA.glob("*.mr"))]
     modules += saturated_corpus(P11, 38, 7, maxdeg=2)
     modules += saturated_corpus(P12, 12, 5, maxdeg=2)
     modules += saturated_corpus(RingSpec((1, 1), 2 ** 61 - 1), 1, 7,
                                 maxdeg=2)
-    for M in modules:
+    return modules
+
+
+def test_ext_dims_match_full_ranks(P11, P12):
+    """Ranking each differential only on the free coordinates of the
+    one above gives the Ext dimensions of ranking every differential
+    whole, at every degree of [-1,0]^r and at ``default_t_start`` and
+    the power after it."""
+    for M in _ext_modules(P11, P12):
         ring = M.ring
         box = ((-1,) * ring.r, (0,) * ring.r)
         pieces = GradedPieces.of(M)
@@ -282,30 +289,71 @@ def test_ext_ranks_on_free_rows_only(monkeypatch):
     assert len(products) == 550
 
 
-def test_stabilization_not_reached():
-    R = RingSpec((1, 1))
-    S = Presentation.free(R)
-    with pytest.raises(StabilizationNotReached):
-        # top cohomology this deep needs t around 5; consecutive small
-        # t values disagree, so the capped run must report failure
-        local_cohomology_box(S, ((-6, -6), (-6, -6)), t_start=2, t_cap=3)
+def _ext_table_at(M, box, t):
+    """The Ext table against the bracket power at t alone."""
+    ring = M.ring
+    pieces = GradedPieces.of(M)
+    twists, entries = _ext_entries(bracket_power_complex(ring, t))
+    out = {}
+    for pdeg in box_points(box):
+        for i, v in _ext_dims_at(pieces, twists, entries, pdeg,
+                                 sum(ring.n) + 1).items():
+            if v:
+                out[(i, pdeg)] = v
+    return out
 
 
-def test_oracle_rejects_cap_not_above_start(P11, monkeypatch):
-    """A cap at or below the first power leaves no two tables to
-    compare, so the oracle refuses it before building any complex."""
-    import multireg.cohomology as coh
+FREE_MODULES = [
+    ((1, 1), (0, 0), -6, 5), ((1, 1), (1, -2), -6, 6),
+    ((1, 2), (0, 0), -6, 5), ((1, 2), (2, 1), -6, 7),
+    ((1, 1, 1), (0, 0, 0), -4, 3), ((1, 1, 1), (0, 1, -1), -4, 4),
+]
 
-    def no_complex(ring, t):
-        raise AssertionError("built a bracket power complex")
 
-    monkeypatch.setattr(coh, "bracket_power_complex", no_complex)
-    S = Presentation.free(P11)
-    # the box's default first power is 4
-    for kw in ({"t_start": 6, "t_cap": 3}, {"t_start": 3, "t_cap": 3},
-               {"t_cap": 4}):
-        with pytest.raises(ValueError, match="t_cap"):
-            local_cohomology_box(S, ((-2, -2), (0, 0)), **kw)
+@pytest.mark.parametrize("n, twist, depth, t_used", FREE_MODULES, ids=[
+    "x".join(f"P{k}" for k in n) + "-" + ",".join(map(str, b))
+    for n, b, _, _ in FREE_MODULES])
+def test_free_modules_certified_closed_form(n, twist, depth, t_used):
+    """Deep in the negative orthant the Ext table of S(-twist) needs a
+    large power, and the certified one gives the Kunneth closed form
+    shifted by the twist.  The power starts there, below the first
+    heuristic one, so no agreement of two tables is involved."""
+    ring = RingSpec(n)
+    M = Presentation(FreeModuleSpec(ring, (twist,)))
+    box = ((depth,) * ring.r, (depth + 1,) * ring.r)
+    table = local_cohomology_box(M, box)
+    assert (table.certified, table.t_used) == (True, t_used)
+    assert t_used < default_t_start(box)
+    for i in range(table.max_index + 1):
+        for pdeg in box_points(box):
+            assert table.dim(i, pdeg) == structure_sheaf_local_cohomology(
+                ring, i, deg_sub(pdeg, twist)), (i, pdeg)
+
+
+def _first_agreeing_table(M, box):
+    """The oracle's answer before it had a certified power: the first
+    table from ``default_t_start(box)`` on that equals the next one,
+    within six steps."""
+    t = default_t_start(box)
+    prev = _ext_table_at(M, box, t)
+    for t in range(t + 1, t + 7):
+        nxt = _ext_table_at(M, box, t)
+        if nxt == prev:
+            return prev
+        prev = nxt
+    raise AssertionError("no two consecutive powers agreed")
+
+
+def test_oracle_matches_the_first_agreeing_tables(P11, P12):
+    """On the modules of ``test_ext_dims_match_full_ranks``, the
+    oracle's table over [-1,0]^r, certified or not, is the first of two
+    agreeing tables from ``default_t_start`` on, as it was before
+    certification."""
+    for M in _ext_modules(P11, P12):
+        box = ((-1,) * M.ring.r, (0,) * M.ring.r)
+        table = local_cohomology_box(M, box)
+        assert table.data == _first_agreeing_table(M, box), \
+            (M.ring.n, table.t_used)
 
 
 def test_required_corners_and_box_too_small(P11):
@@ -377,9 +425,10 @@ def test_linear_truncation_iff_cohomology_on_q_regions(not_linear_module):
 
 def test_cohomology_table_render(P11):
     S = Presentation.free(P11)
-    tab = local_cohomology_box(S, ((-3, -3), (0, 0)), t_start=3)
+    tab = local_cohomology_box(S, ((-3, -3), (0, 0)))
     text = tab.pretty()
     assert "H^2" in text or "H^3" in text
+    assert "certified at t=2" in text
     js = tab.to_json()
     assert js["schema"] == "multireg/cohomology/v1"
-    assert js["heuristic"] is True
+    assert js["heuristic"] is False

@@ -3,12 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from multireg import ParseError, parse_input, poly_from_string, region_Q
 from multireg.cli import main
+from multireg.parser import MAX_POWER_PRODUCTS
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -117,7 +119,10 @@ def test_prime_override():
 
 
 def _run(args, capsys):
-    code = main(args)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -250,6 +255,24 @@ def test_cli_cohomology(capsys):
     assert data["schema"] == "multireg/cohomology/v1"
 
 
+@pytest.mark.parametrize("name, heuristic, t_used, how", [
+    ("not_linear", False, 2, "certified at t=2"),
+    ("hyperelliptic", True, 3, "heuristically stabilized at t=3"),
+], ids=["not_linear", "hyperelliptic"])
+def test_cli_cohomology_says_if_certified(capsys, name, heuristic, t_used,
+                                          how):
+    # not_linear's certified power over [-1,1]^2 is 2; hyperelliptic's
+    # is 27, so its table is the first of two agreeing ones
+    argv = ["cohomology", str(DATA / f"{name}.mr"), "--box=-1,-1:1,1"]
+    code, out, _ = _run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["heuristic"], data["t_used"]) == (heuristic, t_used)
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    assert f"({how})" in out.splitlines()[0]
+
+
 def test_cli_svg(tmp_path, capsys):
     target = tmp_path / "region.svg"
     code, out, _ = _run(["region", "Q", "2", "1,2", "--format", "svg",
@@ -285,6 +308,21 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad.write_text("ring p=32003 n=[0]\nideal x0\n")
     code, out, err = _run(["betti", str(bad)], capsys)
     assert code == 2
+
+
+def test_cli_costly_power_is_a_parse_error(tmp_path, capsys, P11):
+    """A power of a sum is refused before it is expanded, at the
+    exponent; powers of one term and cheap powers still parse."""
+    job = tmp_path / "power.mr"
+    job.write_text("ring p=32003 n=[1,1]\nideal (x0+x1)^4000*y0\n")
+    start = time.perf_counter()
+    code, out, err = _run(["betti", str(job)], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert err.startswith("error: line 2, col 15: this power of a 2-term")
+    assert f"{MAX_POWER_PRODUCTS:,} coefficient products" in err
+    assert len(poly_from_string(P11, "(x0+x1)^100").terms) == 101
+    assert len(poly_from_string(P11, "x0^100000000*y1").terms) == 1
 
 
 @pytest.mark.parametrize("ideal", [
@@ -393,10 +431,8 @@ BAD_DEGREE_ARGUMENTS = [
     (["regularity", "--box", "0,0,0:3,3,3"], "--box"),
     (["regularity", "--box", "3,3:0,0"], "--box"),
     (["linear-truncations", "--box", "0:3"], "--box"),
-    (["cohomology", "--t-start", "0"], "--t-start"),
-    (["cohomology", "--t-start", "6", "--t-cap", "3"], "--t-cap"),
-    (["cohomology", "--t-start", "3", "--t-cap", "3"], "--t-cap"),
-    (["cohomology", "--t-cap", "2"], "--t-start"),
+    # the oracle takes no power options
+    (["cohomology", "--t-cap", "2"], "unrecognized arguments: --t-cap"),
     (["region", "L", "-1", "1,1"], "level"),
     (["ci-regularity", "--degrees", "1,1", "2"], "--degrees"),
     (["ci-regularity", "--degrees", "1,0"], "--degrees"),
@@ -419,8 +455,8 @@ BAD_DEGREE_ARGUMENTS = [
                          ids=[" ".join(a) for a, _ in BAD_DEGREE_ARGUMENTS])
 def test_cli_rejects_degree_arguments(argv, names, capsys):
     # a degree or box of the wrong rank, a reversed box, a negative
-    # level, a power below 1, a cap not above the first power or an
-    # --output without svg is a parse error naming the argument
+    # level, an unknown option or an --output without svg is a parse
+    # error naming the argument
     if argv[0] not in ("region", "ci-regularity"):
         argv = argv[:1] + [str(DATA / "not_linear.mr")] + argv[1:]
     code, out, err = _run(argv, capsys)

@@ -122,3 +122,31 @@ def test_regularity_leaves_linear_algebra_to_pieces():
     the assembly of its matrices stays in pieces and the elimination
     in modp, so regularity imports neither numpy nor modp."""
     assert not _imports("regularity.py") & {"numpy", "modp"}
+
+
+def test_every_exception_class_is_raised():
+    """An exception class of errors.py that no package module raises
+    is an error the library can no longer report, left behind when
+    the check that raised it went."""
+    classes = {node.name for node in _tree(SRC / "errors.py").body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert classes
+    assert sorted(classes - raised) == []
+
+
+def test_oracle_builds_no_resolution_of_the_module():
+    """The local-cohomology route stays independent of the truncation
+    route: the oracle bounds its power from Groebner leads, and never
+    calls ``free_resolution`` or ``schreyer_frame``."""
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(_tree(SRC / "cohomology.py"))
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert not names & {"free_resolution", "schreyer_frame"}
