@@ -183,6 +183,9 @@ def cmd_region_search(args):
 def cmd_betti_bounds(args):
     job, M = _module_of(args)
     table = betti(free_resolution(M))
+    if not table.data:
+        raise MultiregError("the module (truncated, if --truncate-at is "
+                            "given) is zero: no Betti number to bound")
     L = betti_bound_L(table)
     Q = betti_bound_Q(table)
     payload = {

@@ -18,10 +18,10 @@ every block) whose ranks do not grow with t.  Each differential entry
 is a signed pure power x_w^t, so Hom into the module is assembled
 from one multiplication matrix per entry.  The differentials of
 Hom(complex, M) in one degree are ranked from the top down, each on
-the rows at the free columns of the reduced echelon form of the one
-above: the image of a differential lies in the kernel of the next,
-and projecting onto the free columns is injective on that kernel, so
-the rank is unchanged and about half the rows are never eliminated
+the rows at the non-pivot columns of the one above: the image of a
+differential lies in the kernel of the next, and projecting onto the
+non-pivot columns is injective on that kernel, so the rank is
+unchanged and about half the rows are never eliminated
 (``_ext_dims_at`` gives the proof).  The table is exact from a
 power that the leads of the module's Groebner basis bound
 (``_certified_power``); below it, two consecutive powers that agree
@@ -239,18 +239,19 @@ def _ext_dims_at(pieces, twists, entries, pdeg, max_index):
 
     The differentials A_j: Hom_j -> Hom_{j+1} are ranked from the top
     down, each on the rows at the free (non-pivot) columns F of the
-    reduced row echelon form R of the one above.  This is exact.
-    Every v in ker A_j has R v = 0, so v_P = -R_F v_F on the pivot
-    columns P, and projecting onto F is injective on ker A_j, which
-    contains im A_{j-1}.  Hence rank A_{j-1} = rank A_{j-1}[F, :].  The
-    restricted matrix then has the kernel of A_{j-1}, so its row space
-    and pivots are those of A_{j-1}, and the step repeats one level
-    down.  The top differential and every one above the bottom go to
-    ``modp.rref`` for their pivots, and the bottom one to
-    ``modp.rank``.  Only the kept rows are assembled: an entry whose
-    target rows are all pivots takes no ``mult_matrix``, a block with
-    no pivot rows is copied whole, and a matrix with no kept rows has
-    rank 0.
+    reduced row echelon form R of the one above, which is never built:
+    its pivots P are the leading columns of ``modp.rref``'s echelon
+    basis.  This is exact.  Every v in ker A_j has R v = 0, so
+    v_P = -R_F v_F on the pivot columns P, and projecting onto F is
+    injective on ker A_j, which contains im A_{j-1}.  Hence
+    rank A_{j-1} = rank A_{j-1}[F, :].  The restricted matrix then has
+    the kernel of A_{j-1}, so its row space and pivots are those of
+    A_{j-1}, and the step repeats one level down.  The top differential
+    and every one above the bottom go to ``modp.rref`` for their
+    pivots, and the bottom one to ``modp.rank``.  Only the kept rows
+    are assembled: an entry whose target rows are all pivots takes no
+    ``mult_matrix``, a block with no pivot rows is copied whole, and a
+    matrix with no kept rows has rank 0.
 
     A bracket-power complex has nvars - r + 2 = max_index + 1 terms,
     so ``ranks`` ends in a 0 for the map out of the top term, which

@@ -3,19 +3,20 @@
 One kernel: ``_echelon`` eliminates sparse rows of Python ints, so the
 arithmetic is exact for every prime, into an echelon basis keyed by
 leading column, sparsest rows first.  ``rref`` and ``rank`` read a
-dense matrix once into such rows (``_sparse_rows``); ``rref``
-back-substitutes the basis, and ``rank`` counts it.  ``rank_rows``
-takes the sparse rows themselves and counts the basis.
+dense matrix once into such rows (``_sparse_rows``); ``rref`` returns
+the basis and its pivots, and ``rank`` counts it.  ``rank_rows`` takes
+the sparse rows themselves and counts the basis.
 
-Three callers remain.  The cohomology oracle ranks the differentials
-of each Ext complex from the top down: it reads the ``rref`` pivots of
-every differential above the bottom one, which fix the rows the next
-one down keeps, and takes the ``rank`` of the bottom one.
-Truncation's generator trimming runs ``rref`` on the span of the
-one-variable shifts beside its candidate generators.  Both hand over
-dense int64 arrays of graded pieces, which are typically a few percent
-dense.  The graded pieces' Koszul homology assembles its differentials
-as sparse rows and takes their ``rank_rows``.
+Three callers remain, and none needs a reduced form.  The cohomology
+oracle ranks the differentials of each Ext complex from the top down:
+it reads the ``rref`` pivots of every differential above the bottom
+one, which fix the rows the next one down keeps, and takes the
+``rank`` of the bottom one.  Truncation's generator trimming keeps the
+candidate generators at the ``rref`` pivots of the span of the
+one-variable shifts beside them.  Both hand over dense int64 arrays of
+graded pieces, which are typically a few percent dense.  The graded
+pieces' Koszul homology assembles its differentials as sparse rows and
+takes their ``rank_rows``.
 """
 
 import numpy as np
@@ -64,23 +65,16 @@ def _sparse_rows(A, p):
 
 
 def rref(A, p):
-    """Row-reduce A over F_p.
+    """Echelon basis of the rows of A over F_p, and its pivots.
 
-    Returns (R, pivots): R is the reduced row echelon form of A without
-    its zero rows, as an int64 array of residues in [0, p), and pivots
-    the ascending pivot columns.  len(pivots) is the rank.
+    Returns (echelon, pivots): {leading column: sparse row with leading
+    entry 1}, and those columns ascending, which are the pivots of the
+    reduced row echelon form; len(pivots) is the rank.  The name, (A, p)
+    and pivots at [1] are read by ``bench/layers.py`` and pinned by
+    ``tests/test_bench_wiring.py``.
     """
     echelon = _echelon(_sparse_rows(A, p), p)
-    pivots = sorted(echelon)
-    # back-substitute from the last pivot up: every row used is reduced
-    for c in reversed(pivots):
-        row = echelon[c]
-        for k in [k for k in row if k != c and k in echelon]:
-            _axpy(row, -row[k], echelon[k], p)
-    R = np.zeros((len(pivots), np.shape(A)[1]), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        R[i, list(echelon[c])] = list(echelon[c].values())
-    return R, pivots
+    return echelon, sorted(echelon)
 
 
 def rank(A, p):

@@ -87,6 +87,8 @@ def region_L(i, d):
     if i < 0:
         raise ValueError("level must be nonnegative")
     d = tuple(d)
+    if not d:
+        raise ValueError("degree has no coordinates")
     gens = []
     for lam in _compositions(i, len(d)):
         gens.append(tuple(dj - lj for dj, lj in zip(d, lam)))
@@ -94,13 +96,10 @@ def region_L(i, d):
 
 
 def region_Q(i, d):
-    """The quasilinear counterpart: the orthant at d for i = 0, and
-    region_L(i - 1, d - 1) above."""
-    if i < 0:
-        raise ValueError("level must be nonnegative")
-    d = tuple(d)
+    """The quasilinear counterpart: the orthant at d for i = 0, which is
+    region_L(0, d), and region_L(i - 1, d - 1) above."""
     if i == 0:
-        return Region(len(d), (d,))
+        return region_L(0, d)
     return region_L(i - 1, tuple(x - 1 for x in d))
 
 

@@ -120,6 +120,14 @@ def module_is_saturated_at_zero(M):
     return pieces.saturated_at_zero
 
 
+def _require_saturated(M):
+    """Raise NotSaturatedError unless M has no irrelevant torsion."""
+    if not module_is_saturated_at_zero(M):
+        raise NotSaturatedError(
+            "module has irrelevant torsion; the truncation criterion "
+            "does not apply (check_regularity_by_definition still does)")
+
+
 def is_d_regular(M, d):
     """The truncation criterion for d-regularity.
 
@@ -129,10 +137,7 @@ def is_d_regular(M, d):
     resolution of the truncation at d is quasilinear and generated in
     the single degree d.
     """
-    if not module_is_saturated_at_zero(M):
-        raise NotSaturatedError(
-            "module has irrelevant torsion; the truncation criterion "
-            "does not apply (check_regularity_by_definition still does)")
+    _require_saturated(M)
     return _truncation_verdict(M, d, "Q")
 
 
@@ -187,10 +192,7 @@ def truncation_region(M, mode, box):
 def multigraded_regularity(M, box):
     """Minimal elements of the regularity region inside a box, via the
     quasilinear truncation search; requires no irrelevant torsion."""
-    if not module_is_saturated_at_zero(M):
-        raise NotSaturatedError(
-            "module has irrelevant torsion; regularity via truncations "
-            "does not apply")
+    _require_saturated(M)
     return truncation_region(M, "Q", box)
 
 

@@ -1,5 +1,6 @@
 """Shared rings, example modules, corpus helpers, and the dense
-references for graded pieces and for the oracle's Ext ranks."""
+references for graded pieces, for the reduced row echelon form and for
+the oracle's Ext ranks."""
 
 import random
 from itertools import accumulate
@@ -261,3 +262,25 @@ def full_rank_ext_dims(pieces, twists, entries, pdeg, max_index):
         r_prev = ranks[i - 1] if 0 < i <= len(ranks) else 0
         out[i] = d - r_i - r_prev
     return out
+
+
+# ---------------------------------------------------------------------------
+# reference for elimination: the reduced row echelon form, built from the
+# echelon basis ``modp.rref`` returns by the back-substitution it once ran
+
+def reduced_form(echelon, ncols, p):
+    """The reduced row echelon form of the span of an echelon basis
+    {leading column: sparse row with leading entry 1}, without zero
+    rows, as an int64 array of residues in [0, p) with one row per
+    pivot in ascending order.  The basis is left as it was."""
+    rows = {c: dict(row) for c, row in echelon.items()}
+    pivots = sorted(rows)
+    # back-substitute from the last pivot up: every row used is reduced
+    for c in reversed(pivots):
+        row = rows[c]
+        for k in [k for k in row if k != c and k in rows]:
+            modp._axpy(row, -row[k], rows[k], p)
+    R = np.zeros((len(pivots), ncols), dtype=np.int64)
+    for i, c in enumerate(pivots):
+        R[i, list(rows[c])] = list(rows[c].values())
+    return R

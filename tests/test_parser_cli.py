@@ -246,6 +246,29 @@ def test_cli_betti_bounds(capsys):
     assert data["quasilinear_bound"]["minimal_generators"] == [[2, 7]]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("ideal, extra", [
+    ("1", []), ("x0; x1", ["--truncate-at", "1,0"]),
+], ids=["unit-ideal", "zero-truncation"])
+def test_cli_betti_bounds_of_zero_module(tmp_path, capsys, ideal, extra,
+                                         fmt):
+    # an empty Betti table bounds nothing: a computation error, not a
+    # traceback
+    job = tmp_path / "zero.mr"
+    job.write_text(f"ring n=[1,1]\nideal {ideal}\n")
+    code, out, err = _run(["betti-bounds", str(job), *extra,
+                           "--format", fmt], capsys)
+    assert code == 1
+    assert "Traceback" not in out + err
+    if fmt == "json":
+        data = json.loads(out)
+        assert data["schema"] == "multireg/error/v1"
+        assert data["error"] == "MultiregError"
+        assert "is zero" in data["message"]
+    else:
+        assert err.startswith("error: ") and "is zero" in err
+
+
 def test_cli_cohomology(capsys):
     code, out, _ = _run(
         ["cohomology", str(DATA / "not_linear.mr"), "--box", "0,0:2,2",
@@ -363,6 +386,10 @@ def test_cli_computation_error_exit_code(tmp_path, capsys):
     code, out, err = _run(["regularity", "--box", "0,0:2,2", str(job)],
                           capsys)
     assert code == 1
+    code, out, err = _run(["regularity", "--box", "0,0:2,2", str(job),
+                           "--format", "json"], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == "NotSaturatedError"
 
 
 @pytest.mark.parametrize("ideal, named", [

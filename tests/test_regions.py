@@ -8,6 +8,7 @@ from multireg import (
     betti,
     betti_bound_L,
     betti_bound_Q,
+    ci_regularity,
     free_resolution,
     region_L,
     region_Q,
@@ -152,6 +153,16 @@ def test_betti_bound_golden_hyperelliptic(hyperelliptic_module):
 def test_betti_bound_empty_rejected():
     with pytest.raises(ValueError):
         betti_bound_L(BettiTable(2, {}))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: region_L(1, ()), lambda: region_L(0, ()),
+    lambda: region_Q(2, ()), lambda: ci_regularity([()]),
+], ids=["L1", "L0", "Q2", "ci"])
+def test_degree_without_coordinates_rejected(call):
+    # used to recurse without end in ringcore._compositions(total, 0)
+    with pytest.raises(ValueError, match="no coordinates"):
+        call()
 
 
 def test_staircase_renderings():
