@@ -235,26 +235,18 @@ def _interreduce(vecs, p):
                    _canonical=True) for t in kept]
 
 
-def buchberger(gens, ambient=None):
-    """Reduced Groebner basis of the submodule generated by ``gens``.
-
-    ``gens`` may be a MatrixOverS (columns generate) or a list of
-    homogeneous Vectors with ``ambient`` their free module.  Output is
-    deterministic for a fixed input order.
+def buchberger(gens):
+    """Reduced Groebner basis of the submodule of ``gens.target``
+    generated by the columns of the MatrixOverS ``gens``.  Output is
+    deterministic for a fixed column order.
     """
-    if isinstance(gens, MatrixOverS):
-        ambient = gens.target
-        columns = gens.columns
-    else:
-        columns = tuple(gens)
-        if ambient is None:
-            raise ValueError("ambient free module required")
+    ambient = gens.target
     try:
-        _check_homogeneous_columns(columns, ambient)
+        _check_homogeneous_columns(gens.columns, ambient)
     except InhomogeneousError as exc:
         raise InhomogeneousError(f"buchberger: {exc}") from exc
     eng = _Engine(ambient)
-    eng.run(columns)
+    eng.run(gens.columns)
     return GroebnerBasis(ambient, _interreduce(eng.vecs, ambient.ring.p))
 
 
@@ -354,6 +346,19 @@ def kernel_projection(M, rank):
     return [s for s in eng.syzygies if s]
 
 
+def preimage(phi, N):
+    """Generators of {v in phi.source : phi(v) is in the span of the
+    columns of N}, as a matrix into phi.source twisted by their degrees:
+    the kernel of [phi | N] projected to phi.source."""
+    ring = phi.ring
+    src = phi.source
+    big = MatrixOverS(FreeModuleSpec(ring, src.twists + N.source.twists),
+                      phi.target, phi.columns + N.columns, check=False)
+    kept = kernel_projection(big, src.rank)
+    return MatrixOverS(FreeModuleSpec(ring, [v.degree(src) for v in kept]),
+                       src, kept, check=False)
+
+
 def syzygies(M):
     """Generators of the kernel of M: source -> target.
 
@@ -413,7 +418,7 @@ def schreyer_frame(relations):
     """
     ring = relations.ring
     p = ring.p
-    gb = buchberger(relations.columns, relations.target)
+    gb = buchberger(relations)
     if not gb.elements:
         return []
     mats = [gb.as_matrix()]
@@ -486,20 +491,19 @@ def _common_colon(pairs):
     shifts = [g.degree() for _, g in pairs]
     stacked = FreeModuleSpec(ring, [deg_sub(tw, s) for s in shifts
                                     for tw in F.twists])
-    cols = []
-    for k in range(rank):
-        cols.append(Vector([(term_key(k + j * rank, m), c)
-                            for j, (_, g) in enumerate(pairs)
-                            for m, c in g.terms]))
-    twists = list(F.twists)
+    phi = MatrixOverS(F, stacked, [
+        Vector([(term_key(k + j * rank, m), c)
+                for j, (_, g) in enumerate(pairs) for m, c in g.terms])
+        for k in range(rank)], check=False)
+    cols, twists = [], []
     for j, (N, _) in enumerate(pairs):
         for w, tw in zip(N.columns, N.source.twists):
             cols.append(Vector(tuple(((tot, m, negc - j * rank), c)
                                      for (tot, m, negc), c in w.terms),
                                _canonical=True))
             twists.append(deg_sub(tw, shifts[j]))
-    big = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
-    return buchberger(kernel_projection(big, rank), F).as_matrix()
+    Ns = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
+    return buchberger(preimage(phi, Ns)).as_matrix()
 
 
 def colon(N, f):
@@ -524,8 +528,7 @@ def submodules_equal(A, B):
     same free module, by reduced Groebner basis comparison."""
     if A.target != B.target:
         raise RingMismatchError("submodules of different free modules")
-    return (buchberger(A.columns, A.target).elements
-            == buchberger(B.columns, B.target).elements)
+    return buchberger(A).elements == buchberger(B).elements
 
 
 def intersect_submodules(N1, N2):

@@ -11,8 +11,8 @@ Three callers remain, and none needs a reduced form.  The cohomology
 oracle ranks the differentials of each Ext complex from the top down:
 it reads the ``rref`` pivots of every differential above the bottom
 one, which fix the rows the next one down keeps, and takes the
-``rank`` of the bottom one.  Truncation's generator trimming keeps the
-candidate generators at the ``rref`` pivots of the span of the
+``rank`` of the bottom one.  The graded pieces' minimal generators of a
+truncation are the candidates at the ``rref`` pivots of the span of the
 one-variable shifts beside them.  Both hand over dense int64 arrays of
 graded pieces, which are typically a few percent dense.  The graded
 pieces' Koszul homology assembles its differentials as sparse rows and

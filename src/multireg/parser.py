@@ -30,6 +30,7 @@ from .ringcore import (
     Presentation,
     RingSpec,
     Vector,
+    checked_dims,
     zero_degree,
 )
 
@@ -255,10 +256,12 @@ def parse_input(text, prime_override=None):
     # position
     p, p_at = (keys.get("p", (32003, ())) if prime_override is None
                else (prime_override, ()))
-    if any(ni < 1 for ni in n):
-        raise ParseError(f"factor dimensions must be >= 1, got {n}", *n_at)
     try:
-        ring = RingSpec(tuple(n), p)
+        n = checked_dims(n)
+    except ValueError as exc:
+        raise ParseError(str(exc), *n_at) from exc
+    try:
+        ring = RingSpec(n, p)
     except ValueError as exc:
         # n is checked above, so the ring rejects the characteristic
         raise ParseError(str(exc), *p_at) from exc

@@ -15,10 +15,10 @@ it is never listed.
 
 The Koszul complex K(x) (x) M_{>=d} in degree b has one summand
 M_{b - deg x_S} per subset S of the variables whose source degree is
->= d; ``GradedPieces._koszul_terms`` alone lists them.  Generator
-trimming reads H_0 from the dense d_1 (``variable_step_span``), and the
-region sweep reads H_1 from sparse rows of d_1 and d_2
-(``koszul_h1_dim``).
+>= d; ``GradedPieces._koszul_terms`` alone lists them.  A truncation's
+minimal generators are H_0, read beside the dense d_1
+(``minimal_generators``), and the region sweep reads H_1 from sparse
+rows of d_1 and d_2 (``koszul_h1_dim``).
 
 Multiplication matrices are assembled from sparse blocks, one per
 (monomial, source degree).  A product of a basis monomial that is
@@ -157,17 +157,6 @@ class GradedPieces:
     def dim(self, d):
         return len(self.basis(d))
 
-    def coords(self, v, d):
-        """Coordinates of a vector of F0 in the degree-d basis of M."""
-        d = tuple(d)
-        self.basis(d)
-        idx = self._index[d]
-        nf = normal_form(v, self.gb)
-        out = np.zeros(len(idx), dtype=np.int64)
-        for (tot, m, negc), c in nf.terms:
-            out[idx[(-negc, m)]] = c
-        return out
-
     def _block(self, m, d):
         """Multiplication by the monomial m from the degree-d piece, as
         (rows, cols, residues, shape) of its nonzero entries."""
@@ -223,6 +212,24 @@ class GradedPieces:
             c = deg_sub(b, ring.monomial_degree(x))
             if deg_leq(lower_bound, c):
                 yield S, x, c
+
+    def minimal_generators(self, e, lower_bound, vectors):
+        """H_0 of K(x) (x) M_{>=d} in degree e, for d = lower_bound: the
+        positions j of the degree-e vectors of F0 whose image in M_e is
+        outside the span of d_1 and of the vectors before j.  They are
+        the ``rref`` pivots among the vectors' normal forms, placed
+        after one ``mult_matrix`` block per ``_koszul_terms`` summand."""
+        self.basis(e)
+        idx = self._index[e]
+        span = [self.mult_matrix(Poly.monomial(self.ring, x), c)
+                for _, x, c in self._koszul_terms(1, e, lower_bound)]
+        cand = np.zeros((len(idx), len(vectors)), dtype=np.int64)
+        for j, v in enumerate(vectors):
+            for (_, m, negc), c in normal_form(v, self.gb).terms:
+                cand[idx[(-negc, m)], j] = c
+        ncols = sum(A.shape[1] for A in span)
+        _, pivots = modp.rref(np.hstack(span + [cand]), self.ring.p)
+        return [c - ncols for c in pivots if c >= ncols]
 
     def koszul_h1_dim(self, b, lower_bound):
         """dim_k Tor_1(M_{>=d}, k)_b for d = lower_bound: the number of
@@ -281,17 +288,6 @@ class GradedPieces:
         A = np.zeros(shape, dtype=np.int64)
         A[rows, cols] = _scaled(vals, c, self.ring.p)
         return A
-
-    def variable_step_span(self, e, lower_bound):
-        """Columns spanning the image of d_1: K_1 (x) M_{>=d} -> M_{>=d}
-        in degree e, for d = lower_bound: one ``mult_matrix`` block per
-        summand of ``_koszul_terms``.  Its cokernel is H_0, the minimal
-        generators of the truncation in degree e."""
-        blocks = [self.mult_matrix(Poly.monomial(self.ring, x), c)
-                  for _, x, c in self._koszul_terms(1, e, lower_bound)]
-        if not blocks:
-            return np.zeros((self.dim(e), 0), dtype=np.int64)
-        return np.hstack(blocks)
 
 
 def hilbert_function(M, d):

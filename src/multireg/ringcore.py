@@ -20,6 +20,7 @@ module components go to the lower component index.
 """
 
 from itertools import product as _iterproduct
+from math import prod
 
 from .errors import InhomogeneousError, RingMismatchError
 
@@ -55,6 +56,27 @@ def is_prime(m):
         else:
             return False
     return True
+
+
+# RingSpec.irrelevant_generators lists Pi(n_i + 1) exponent tuples of
+# nvars entries each; n = [20000] would need 4 * 10^8 entries, gigabytes
+# of tuples, before any answer.  n = [3000] (9 * 10^6) stays accepted.
+_MAX_IRRELEVANT_ENTRIES = 10 ** 7
+
+
+def checked_dims(n):
+    """``n`` as a tuple, after checking that it gives a product of
+    projective spaces small enough to list its irrelevant ideal."""
+    n = tuple(int(x) for x in n)
+    if not n or min(n) < 1:
+        raise ValueError("factor dimensions must be one or more numbers "
+                         f">= 1, got {list(n)}")
+    entries = prod(ni + 1 for ni in n) * (len(n) + sum(n))
+    if entries > _MAX_IRRELEVANT_ENTRIES:
+        raise ValueError(f"factor dimensions {list(n)} are too large: the "
+                         f"irrelevant ideal would need {entries} exponent "
+                         f"entries, more than {_MAX_IRRELEVANT_ENTRIES}")
+    return n
 
 
 def checked_prime(p):
@@ -146,11 +168,7 @@ class RingSpec:
                  "_names", "_index")
 
     def __init__(self, n, p=DEFAULT_PRIME):
-        n = tuple(int(x) for x in n)
-        if len(n) < 1:
-            raise ValueError("need at least one factor")
-        if any(ni < 1 for ni in n):
-            raise ValueError("every factor dimension must be >= 1")
+        n = checked_dims(n)
         self.r = len(n)
         self.n = n
         self.p = checked_prime(p)
@@ -490,15 +508,19 @@ def term_key(comp, mono):
 
 
 class Vector:
-    """Element of a free module, as an ordered term list."""
+    """Element of a free module, as an ordered term list.  Terms not
+    marked canonical are sorted here and need distinct keys and nonzero
+    coefficients: a Vector has no ring to reduce them by."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms, _canonical=False):
-        if _canonical:
-            self.terms = terms
-        else:
-            self.terms = tuple(sorted(terms, key=lambda t: t[0], reverse=True))
+        if not _canonical:
+            terms = tuple(sorted(terms, key=lambda t: t[0], reverse=True))
+            if len({k for k, c in terms if c}) < len(terms):
+                raise ValueError("vector terms need distinct keys and "
+                                 "nonzero coefficients")
+        self.terms = terms
 
     @classmethod
     def unit(cls, ring, comp):

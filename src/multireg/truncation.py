@@ -5,14 +5,11 @@ For a free module the truncation is generated by the monomials of the
 single degree max(twist, d) in each component (any monomial of larger
 degree is divisible by one of that exact degree when every block of
 variables is nonempty, which is the case here).  For a presented
-module the relations of the truncation are the preimage of the old
-relation submodule under the inclusion of the new generators.
+module the graded pieces pick minimal generators among those, and the
+relations are the preimage (groebner) of the old ones under inclusion.
 """
 
-import numpy as np
-
-from . import modp
-from .groebner import kernel_projection
+from .groebner import preimage
 from .pieces import GradedPieces
 from .ringcore import (
     FreeModuleSpec,
@@ -22,7 +19,6 @@ from .ringcore import (
     checked_degree,
     deg_max,
     deg_sub,
-    deg_total,
     monomials_of_degree,
     term_key,
 )
@@ -48,37 +44,19 @@ def truncate_free(F, d):
     return G, MatrixOverS(G, F, cols, check=False)
 
 
-def _preimage_relations(inc, relations):
-    """Generators of {v : inc(v) lies in the image of relations}."""
-    F = inc.target
-    ring = F.ring
-    cols = list(inc.columns) + list(relations.columns)
-    twists = list(inc.source.twists) + list(relations.source.twists)
-    big = MatrixOverS(FreeModuleSpec(ring, twists), F, cols, check=False)
-    kept = kernel_projection(big, inc.source.rank)
-    kept_twists = [v.degree(inc.source) for v in kept]
-    src = FreeModuleSpec(ring, kept_twists)
-    return MatrixOverS(src, inc.source, kept, check=False)
-
-
 def _trim_generators(M, d, G, inc):
     """Select a minimal generating subset of the truncation's monomial
     generators, degree by degree: a candidate is kept exactly when it
     adds rank over the one-variable shifts of already-available pieces.
     """
     pieces = GradedPieces.of(M)
-    p = M.ring.p
     by_degree = {}
     for j, tw in enumerate(G.twists):
         by_degree.setdefault(tw, []).append(j)
     keep = []
-    for e in sorted(by_degree, key=lambda t: (deg_total(t), t)):
-        js = by_degree[e]
-        span = pieces.variable_step_span(e, lower_bound=d)
-        cand = np.stack([pieces.coords(inc.columns[j], e) for j in js], axis=1)
-        ncols = span.shape[1]
-        _, pivots = modp.rref(np.hstack([span, cand]), p)
-        keep.extend(js[c - ncols] for c in pivots if c >= ncols)
+    for e, js in by_degree.items():
+        kept = pieces.minimal_generators(e, d, [inc.columns[j] for j in js])
+        keep.extend(js[i] for i in kept)
     keep.sort()
     twists = [G.twists[j] for j in keep]
     cols = [inc.columns[j] for j in keep]
@@ -99,5 +77,4 @@ def truncate_module(M, d):
     G, inc = truncate_free(M.F0, d)
     if G.rank:
         G, inc = _trim_generators(M, d, G, inc)
-    rels = _preimage_relations(inc, M.relations)
-    return Presentation(G, rels)
+    return Presentation(G, preimage(inc, M.relations))

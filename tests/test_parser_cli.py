@@ -62,10 +62,12 @@ def test_parse_rejects_inhomogeneous():
 @pytest.mark.parametrize("text, message, col", [
     ("ring p=4 n=[1,1]\nideal x0", "not prime", 6),
     ("ring n=[1,0] p=7\nideal x0", "factor dimensions", 6),
+    # listing the irrelevant ideal would take gigabytes
+    ("ring n=[20000] p=7\nideal x0", "factor dimensions", 6),
     # a second value would silently replace the first
     ("ring p=7 p=11 n=[1,1]\nideal x0", "p= given twice", 10),
     ("ring n=[1,1] p=7 n=[1]\nideal x0", "n= given twice", 18),
-], ids=["p", "n", "p-twice", "n-twice"])
+], ids=["p", "n", "n-large", "p-twice", "n-twice"])
 def test_parse_ring_error_cites_its_key(text, message, col):
     # the key at fault, not the last key read
     with pytest.raises(ParseError, match=message) as err:

@@ -8,10 +8,11 @@ from multireg import (
     Presentation,
     RingMismatchError,
     RingSpec,
+    Vector,
     hilbert_function,
     monomials_of_degree,
 )
-from multireg.ringcore import count_monomials
+from multireg.ringcore import count_monomials, term_key
 
 from .conftest import free_basis_of_degree, pp
 
@@ -21,6 +22,10 @@ def test_ring_validation():
         RingSpec(())
     with pytest.raises(ValueError):
         RingSpec((0, 1))
+    # the irrelevant ideal's exponent tuples must fit in memory
+    with pytest.raises(ValueError, match="too large"):
+        RingSpec((20000,))
+    assert RingSpec((3000,)).nvars == 3001
     with pytest.raises(ValueError):
         RingSpec((1, 1), p=32004)
     RingSpec((1, 1), p=2 ** 62 - 57)
@@ -215,3 +220,13 @@ def test_free_basis_order_deterministic(P12):
     b2 = free_basis_of_degree(F, (1, 1))
     assert b1 == b2
     assert len(b1) == 6 + 3
+
+
+@pytest.mark.parametrize("coeffs", [(1, 6), (0,)], ids=["repeated", "zero"])
+def test_vector_rejects_a_non_canonical_term_list(coeffs):
+    """A Vector has no ring to reduce its terms by: a repeated key or a
+    zero coefficient is refused where the vector is built, not left to
+    the arithmetic that assumes one nonzero term per key."""
+    key = term_key(0, (1, 0, 0, 0))
+    with pytest.raises(ValueError):
+        Vector([(key, c) for c in coeffs])

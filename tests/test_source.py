@@ -124,6 +124,14 @@ def test_regularity_leaves_linear_algebra_to_pieces():
     assert not _imports("regularity.py") & {"numpy", "modp"}
 
 
+def test_truncation_leaves_linear_algebra_to_pieces():
+    """Truncation asks the graded pieces for minimal generators and
+    groebner for the preimage of the relations, so it builds no matrix
+    and no kernel of its own."""
+    assert not _imports("truncation.py") & {"numpy", "modp",
+                                            "kernel_projection"}
+
+
 def test_every_exception_class_is_raised():
     """An exception class of errors.py that no package module raises
     is an error the library can no longer report, left behind when

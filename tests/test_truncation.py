@@ -20,7 +20,8 @@ from multireg import (
 
 from multireg import modp
 from multireg.pieces import _SHARED, GradedPieces
-from multireg.truncation import _preimage_relations, _trim_generators
+from multireg.groebner import preimage
+from multireg.truncation import _trim_generators
 
 from .conftest import HYPERELLIPTIC_TRUNC_21_BETTI, graded_block, pp
 
@@ -85,7 +86,7 @@ def test_truncation_trim_agrees_with_untrimmed(not_linear_module):
     on the full monomial cover."""
     M = not_linear_module
     G, inc = truncate_free(M.F0, (1, 0))
-    a = Presentation(G, _preimage_relations(inc, M.relations))
+    a = Presentation(G, preimage(inc, M.relations))
     b = truncate_module(M, (1, 0))
     assert b.F0.rank < G.rank
     assert betti(free_resolution(a)).data == betti(free_resolution(b)).data
@@ -192,7 +193,7 @@ def test_truncation_relations_are_preimage(not_linear_module):
     T = truncate_module(M, (1, 1))
     G, inc = _trim_generators(M, (1, 1), *truncate_free(M.F0, (1, 1)))
     assert G == T.F0
-    gb = buchberger(M.relations.columns, M.F0)
+    gb = buchberger(M.relations)
     for col in T.relations.columns:
         image = inc.apply(col)
         assert not normal_form(image, gb)
