@@ -80,14 +80,8 @@ class GroebnerBasis:
     def __len__(self):
         return len(self.elements)
 
-    def contains(self, v):
-        return not normal_form(v, self)
-
     def as_matrix(self):
-        ring = self.ambient.ring
-        twists = [g.degree(self.ambient) for g in self.elements]
-        src = FreeModuleSpec(ring, twists)
-        return MatrixOverS(src, self.ambient, self.elements, check=False)
+        return MatrixOverS.from_columns(self.ambient, self.elements)
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} elements)"
@@ -350,13 +344,10 @@ def preimage(phi, N):
     """Generators of {v in phi.source : phi(v) is in the span of the
     columns of N}, as a matrix into phi.source twisted by their degrees:
     the kernel of [phi | N] projected to phi.source."""
-    ring = phi.ring
     src = phi.source
-    big = MatrixOverS(FreeModuleSpec(ring, src.twists + N.source.twists),
+    big = MatrixOverS(FreeModuleSpec(phi.ring, src.twists + N.source.twists),
                       phi.target, phi.columns + N.columns, check=False)
-    kept = kernel_projection(big, src.rank)
-    return MatrixOverS(FreeModuleSpec(ring, [v.degree(src) for v in kept]),
-                       src, kept, check=False)
+    return MatrixOverS.from_columns(src, kernel_projection(big, src.rank))
 
 
 def syzygies(M):
@@ -370,9 +361,7 @@ def syzygies(M):
     syz = kernel_projection(M, src.rank)
     syz.sort(key=lambda s: (deg_total(s.degree(src)), s.degree(src),
                             s.terms[0][0]))
-    twists = [s.degree(src) for s in syz]
-    out_src = FreeModuleSpec(M.ring, twists)
-    return MatrixOverS(out_src, src, syz, check=False)
+    return MatrixOverS.from_columns(src, syz)
 
 
 def schreyer_frame(relations):

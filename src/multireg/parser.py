@@ -307,30 +307,17 @@ def parse_input(text, prime_override=None):
             if len(row) != ncols:
                 tokens.error("ragged matrix")
         F0 = FreeModuleSpec(ring, rows)
-        col_degs = []
-        for l in range(ncols):
-            deg = None
-            for k, row in enumerate(entries):
-                f = row[l]
-                if not f:
-                    continue
-                try:
-                    fd = f.degree()
-                except InhomogeneousError:
-                    raise ParseError(
-                        f"matrix entry ({k + 1},{l + 1}) inhomogeneous",
-                        line3, col3) from None
-                total = tuple(a + b for a, b in zip(fd, rows[k]))
-                if deg is None:
-                    deg = total
-                elif deg != total:
-                    raise ParseError(
-                        f"column {l + 1} mixes degrees {deg} and {total}",
-                        line3, col3)
-            col_degs.append(deg if deg is not None else zero_degree(ring.r))
-        # every entry was checked above, so the matrix need not be
         cols = [Vector.from_components([row[l] for row in entries])
                 for l in range(ncols)]
+        col_degs = []
+        for l, v in enumerate(cols):
+            try:
+                deg = v.degree(F0)
+            except InhomogeneousError as exc:
+                raise ParseError(f"matrix column {l + 1}: {exc}",
+                                 line3, col3) from None
+            # a zero column has no degree; any twist presents the module
+            col_degs.append(zero_degree(ring.r) if deg is None else deg)
         rel = MatrixOverS(FreeModuleSpec(ring, col_degs), F0, cols,
                           check=False)
         return JobSpec(ring, "module",

@@ -20,13 +20,21 @@ from .ringcore import _compositions, deg_leq, deg_max, deg_total
 
 
 def _minimalize(points):
-    """Antichain of minimal elements of a finite point set."""
+    """Antichain of minimal elements of a finite point set.
+
+    A point is compared only with kept points of smaller total: g <= q
+    with equal totals forces g = q, and the points are distinct.  So
+    an antichain of one total, such as region_L's generators, costs
+    no comparison at all."""
     pts = sorted(set(points), key=lambda t: (deg_total(t), t))
-    out = []
+    below, level, total = [], [], None
     for q in pts:
-        if not any(deg_leq(g, q) for g in out):
-            out.append(q)
-    return tuple(sorted(out))
+        if deg_total(q) != total:
+            below += level
+            level, total = [], deg_total(q)
+        if not any(deg_leq(g, q) for g in below):
+            level.append(q)
+    return tuple(sorted(below + level))
 
 
 class Region:

@@ -420,10 +420,6 @@ class Poly:
                 base = base * base
         return out
 
-    def lead(self):
-        """(monomial, coefficient) of the leading term; None when zero."""
-        return self.terms[0] if self.terms else None
-
     def degree(self):
         """Common multidegree of all terms; None for the zero
         polynomial; raises when inhomogeneous."""
@@ -568,7 +564,8 @@ class Vector:
             if d is None:
                 d = dd
             elif dd != d:
-                raise InhomogeneousError("vector is not homogeneous")
+                raise InhomogeneousError(
+                    f"vector is not homogeneous: degrees {d} and {dd}")
         return d
 
     def __repr__(self):
@@ -625,6 +622,15 @@ def vec_mono_mul(a, mono, c, p):
     return tuple(out)
 
 
+def _column_degree(col, target, l):
+    """col.degree(target), with column l named when it is
+    inhomogeneous."""
+    try:
+        return col.degree(target)
+    except InhomogeneousError as exc:
+        raise InhomogeneousError(f"column {l}: {exc}") from None
+
+
 class MatrixOverS:
     """Homogeneous matrix between free modules, stored column-major.
 
@@ -644,18 +650,31 @@ class MatrixOverS:
         if len(self.columns) != source.rank:
             raise ValueError("column count does not match source rank")
         if check:
-            ring = target.ring
             for l, col in enumerate(self.columns):
-                want = source.twists[l]
-                for (tot, m, negc), _ in col.terms:
-                    got = deg_add(ring.monomial_degree(m), target.twists[-negc])
-                    if got != want:
-                        raise InhomogeneousError(
-                            f"column {l}: term of degree {got}, expected {want}")
+                got = _column_degree(col, target, l)
+                if got is not None and got != source.twists[l]:
+                    raise InhomogeneousError(
+                        f"column {l}: degree {got}, expected "
+                        f"{source.twists[l]}")
 
     @property
     def ring(self):
         return self.target.ring
+
+    @classmethod
+    def from_columns(cls, target, columns):
+        """The matrix into target whose source generator l sits in the
+        degree of columns[l].  Raises InhomogeneousError naming an
+        inhomogeneous column, and ValueError on a zero column, which
+        has no degree."""
+        columns = tuple(columns)
+        twists = [_column_degree(col, target, l)
+                  for l, col in enumerate(columns)]
+        if None in twists:
+            raise ValueError(f"column {twists.index(None)} is zero and "
+                             "has no degree")
+        return cls(FreeModuleSpec(target.ring, twists), target, columns,
+                   check=False)
 
     @classmethod
     def from_entries(cls, source, target, entries):
@@ -726,16 +745,8 @@ class Presentation:
     def quotient_by_ideal(cls, ring, gens):
         """S/I for an ideal given by homogeneous polynomials."""
         F0 = FreeModuleSpec(ring, (zero_degree(ring.r),))
-        twists = []
-        cols = []
-        for g in gens:
-            d = g.degree()
-            if d is None:
-                continue
-            twists.append(d)
-            cols.append(Vector.from_components([g]))
-        src = FreeModuleSpec(ring, twists)
-        return cls(F0, MatrixOverS(src, F0, cols))
+        return cls(F0, MatrixOverS.from_columns(
+            F0, [Vector.from_components([g]) for g in gens if g]))
 
     def __repr__(self):
         return (f"Presentation(gens={list(self.F0.twists)}, "

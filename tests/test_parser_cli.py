@@ -59,6 +59,28 @@ def test_parse_rejects_inhomogeneous():
     assert "inhomogeneous" in str(err.value)
 
 
+@pytest.mark.parametrize("module", [
+    # column 2 holds y0 in degree (0,1) and x1 in degree (1,0) + (1,0)
+    "module rows=[(0,0),(1,0)] matrix [[x0, y0],[1, x1]]",
+    # the entry x1 + y1 of column 2 is inhomogeneous by itself
+    "module rows=[(0,0)] matrix [[x0, x1 + y1]]",
+], ids=["mixed-column", "inhomogeneous-entry"])
+def test_parse_matrix_homogeneity_error_names_its_column(module, tmp_path,
+                                                         capsys):
+    """An inhomogeneous relation column is refused at the matrix
+    keyword, naming the column, and the CLI exits 2 on it."""
+    text = f"ring p=32003 n=[1,1]\n{module}\n"
+    with pytest.raises(ParseError, match="column 2: ") as err:
+        parse_input(text)
+    assert (err.value.line, err.value.col) == (2, module.index("matrix") + 1)
+    bad = tmp_path / "bad.mr"
+    bad.write_text(text)
+    code, out, stderr = _run(["betti", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "column 2: " in stderr
+
+
 @pytest.mark.parametrize("text, message, col", [
     ("ring p=4 n=[1,1]\nideal x0", "not prime", 6),
     ("ring n=[1,0] p=7\nideal x0", "factor dimensions", 6),

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import comb
 
 import pytest
 
@@ -16,7 +17,7 @@ from multireg import (
     region_subset,
     region_union,
 )
-from multireg.regions import staircase_svg, staircase_text
+from multireg.regions import _minimalize, staircase_svg, staircase_text
 from multireg.resolution import BettiTable
 
 
@@ -51,6 +52,27 @@ def test_region_membership_antichain():
     assert R.contains((5, 5))
     assert not R.contains((1, 0))
     assert Region.empty(2).is_empty()
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_minimalize_matches_brute_force(r):
+    """Comparing a point only with kept points of smaller total keeps
+    exactly the points that no other point of the set lies below."""
+    rng = random.Random(r)
+    for _ in range(200):
+        pts = [tuple(rng.randint(-3, 3) for _ in range(r))
+               for _ in range(rng.randint(0, 30))]
+        want = sorted({q for q in pts
+                       if not any(g != q and all(a <= b for a, b in zip(g, q))
+                                  for g in pts)})
+        assert _minimalize(pts) == tuple(want), pts
+
+
+def test_region_L_of_a_large_antichain():
+    """region_L(16, d) on Z^5 has one generator per composition of 16
+    into 5 parts, all of one total, so none is compared with another."""
+    gens = region_L(16, (1, 2, 3, 4, 5)).minimal_generators
+    assert len(gens) == comb(20, 4) == 4845
 
 
 def test_intersect_orthants():

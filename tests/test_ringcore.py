@@ -177,6 +177,23 @@ def test_matrix_homogeneity_enforced(P11):
     assert ok.entry(0, 0) == x0
 
 
+def test_matrix_from_columns_twists_by_column_degrees(P11):
+    x0 = Poly.variable(P11, 0)
+    y0 = Poly.variable(P11, 2)
+    F = FreeModuleSpec(P11, [(0, 0), (1, 0)])
+    cols = [Vector.from_components([x0, Poly.one(P11)]),
+            Vector.from_components([None, y0])]
+    M = MatrixOverS.from_columns(F, cols)
+    assert M.source.twists == ((1, 0), (1, 1))
+    assert M.target == F and M.columns == tuple(cols)
+    with pytest.raises(InhomogeneousError, match=r"column 1: .*degrees"):
+        MatrixOverS.from_columns(F, [cols[0], Vector.from_components(
+            [y0, Poly.one(P11)])])
+    # a zero column has no degree to twist by
+    with pytest.raises(ValueError, match="column 0 is zero"):
+        MatrixOverS.from_columns(F, [Vector(())])
+
+
 def test_hilbert_function_free(P12):
     S = Presentation.free(P12)
     assert hilbert_function(S, (1, 1)) == 6

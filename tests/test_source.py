@@ -132,6 +132,27 @@ def test_truncation_leaves_linear_algebra_to_pieces():
                                             "kernel_projection"}
 
 
+def test_only_ringcore_twists_a_source_by_column_degrees():
+    """A matrix's source twists are its columns' degrees, read by
+    ``MatrixOverS.from_columns``: no other module calls ``.degree(``
+    inside the arguments of a ``FreeModuleSpec(...)`` call."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ringcore.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "FreeModuleSpec"):
+                found += [f"{path.name}:{node.lineno}"
+                          for arg in node.args + node.keywords
+                          for sub in ast.walk(arg)
+                          if isinstance(sub, ast.Call)
+                          and isinstance(sub.func, ast.Attribute)
+                          and sub.func.attr == "degree"]
+    assert found == []
+
+
 def test_every_exception_class_is_raised():
     """An exception class of errors.py that no package module raises
     is an error the library can no longer report, left behind when
