@@ -8,7 +8,10 @@ Exit codes: 0 on success, 1 on a computation error (for example a
 module with irrelevant torsion where the truncation criterion was
 requested), 2 on a parse error, 141 (128 + SIGPIPE, as a shell reports
 a process killed by a broken pipe) when the reader of the output closes
-it early.
+it early.  The front end keeps no input rules of its own: each argument
+goes to the library function that takes it or checks it, and the
+ValueError by which that function rejects it becomes a parse error
+naming the argument.
 """
 
 import argparse
@@ -39,36 +42,39 @@ from .regularity import (
     verify_ci_hypotheses,
 )
 from .resolution import betti, free_resolution
-from .ringcore import checked_prime
+from .ringcore import checked_box, checked_degree, checked_prime
 from .truncation import truncate_module
 
 
-def _parse_degree(text, rank=None, what="degree"):
+def _argument(what, check, *values):
+    """``check(*values)``, where ``check`` is the library function that
+    takes or checks an argument; the ValueError by which it rejects
+    the argument is re-raised as a ParseError naming it as ``what``."""
+    try:
+        return check(*values)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def _parse_degree(text, what="degree"):
     text = text.strip()
     try:
-        d = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError(f"bad {what} {text!r}; expected d1,d2,...") from None
-    if rank is not None and len(d) != rank:
-        raise ParseError(f"{what} {text!r} needs {rank} coordinates, "
-                         f"got {len(d)}")
-    return d
 
 
 def _parse_box(text, rank):
     if ":" not in text:
         raise ParseError(f"bad --box {text!r}; expected a,b:c,d")
-    lo, hi = (_parse_degree(c, rank, "--box corner")
-              for c in text.split(":", 1))
-    if any(a > b for a, b in zip(lo, hi)):
-        raise ParseError(f"--box {text!r}: the lower corner must be <= "
-                         "the upper corner")
-    return lo, hi
+    corners = [_parse_degree(c, "--box corner") for c in text.split(":", 1)]
+    return _argument(f"--box {text}", checked_box, corners, rank)
 
 
 def _load_job(args):
-    with open(args.file, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.file, "rb") as fh:
+        data = fh.read()
+    text = _argument(args.file, data.decode, "utf-8")
     return parse_input(text, prime_override=args.prime)
 
 
@@ -81,10 +87,7 @@ def _emit(args, payload, text_renderer):
 
 def _render_region(args, region, warnings_seen=()):
     if args.format == "svg":
-        if region.rank != 2:
-            raise ParseError(f"--format svg draws rank-2 regions; this "
-                             f"region has rank {region.rank}")
-        svg = staircase_svg(region)
+        svg = _argument("--format svg", staircase_svg, region)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(svg)
@@ -92,26 +95,27 @@ def _render_region(args, region, warnings_seen=()):
         else:
             print(svg)
         return
-    if args.format == "json":
-        data = region.to_json()
-        if warnings_seen:
-            data["warnings"] = [str(w.message) for w in warnings_seen]
-        print(json.dumps(data, indent=2, sort_keys=True))
-        return
-    gens = ", ".join(str(list(g)) for g in region.minimal_generators)
-    print(f"minimal generators: {gens if gens else '(empty region)'}")
-    if region.rank == 2 and not region.is_empty():
-        print(staircase_text(region))
-    for w in warnings_seen:
-        print(f"warning: {w.message}")
+    payload = region.to_json()
+    if warnings_seen:
+        payload["warnings"] = [str(w.message) for w in warnings_seen]
+
+    def render():
+        gens = ", ".join(map(str, payload["minimal_generators"]))
+        lines = [f"minimal generators: {gens or '(empty region)'}"]
+        if region.rank == 2 and not region.is_empty():
+            lines.append(staircase_text(region))
+        return "\n".join(lines + [f"warning: {m}"
+                                  for m in payload.get("warnings", ())])
+    _emit(args, payload, render)
 
 
 def _module_of(args):
     job = _load_job(args)
     M = job.module()
     if getattr(args, "truncate_at", None) is not None:
-        M = truncate_module(
-            M, _parse_degree(args.truncate_at, job.ring.r, "--truncate-at"))
+        d = _parse_degree(args.truncate_at, "--truncate-at")
+        M = truncate_module(M, _argument(f"--truncate-at {args.truncate_at}",
+                                         checked_degree, d, job.ring.r))
     return job, M
 
 
@@ -124,14 +128,6 @@ def cmd_betti(args):
 
 def cmd_truncate(args):
     job, M = _module_of(args)
-    def render():
-        lines = [f"generators: {[list(t) for t in M.F0.twists]}",
-                 f"relations: {M.relations.source.rank}"]
-        for l in range(M.relations.source.rank):
-            col = [str(M.relations.entry(k, l))
-                   for k in range(M.F0.rank)]
-            lines.append("  [" + ", ".join(col) + "]")
-        return "\n".join(lines)
     payload = {
         "schema": "multireg/presentation/v1",
         "generator_degrees": [list(t) for t in M.F0.twists],
@@ -141,6 +137,14 @@ def cmd_truncate(args):
                        for l in range(M.relations.source.rank)]
                       for k in range(M.F0.rank)],
     }
+
+    def render():
+        # the relation columns, from the payload's rows
+        cols = zip(*payload["relations"])
+        return "\n".join(
+            [f"generators: {payload['generator_degrees']}",
+             f"relations: {len(payload['relation_degrees'])}"]
+            + ["  [" + ", ".join(col) + "]" for col in cols])
     _emit(args, payload, render)
     return 0
 
@@ -206,19 +210,18 @@ def cmd_ci_regularity(args):
     if args.degrees:
         # nargs="*" also takes a file written after the degrees
         files = [t for t in args.degrees if re.search(r"[^\d,\s-]", t)]
-        degrees = [_parse_degree(t, what="--degrees entry")
+        degrees = [_parse_degree(t, "--degrees entry")
                    for t in args.degrees if t not in files]
-        for d in degrees:
-            if len(d) != len(degrees[0]) or min(d) <= 0:
-                raise ParseError(f"--degrees entry {list(d)}: expected "
-                                 "strictly positive degrees of one rank")
+        # an entry's error comes before a file's; with no entry, a
+        # file was given
+        region = degrees and _argument("--degrees entry", ci_regularity,
+                                       degrees)
         if args.file:
             files.append(args.file)
         if files:
             raise ParseError(f"{files[0]} given with --degrees: "
                              "ci-regularity takes a file or --degrees, "
                              "not both")
-        region = ci_regularity(degrees)
         _render_region(args, region)
         return 0
     job = _load_job(args)
@@ -241,11 +244,9 @@ def cmd_ci_regularity(args):
 
 
 def cmd_region(args):
-    if args.level < 0:
-        raise ParseError(f"level {args.level} must be >= 0")
-    d = _parse_degree(args.degree)
     fn = region_L if args.kind == "L" else region_Q
-    region = fn(args.level, d)
+    region = _argument(f"level {args.level}", fn, args.level,
+                       _parse_degree(args.degree))
     _render_region(args, region)
     return 0
 
@@ -411,10 +412,7 @@ def main(argv=None):
         prime = getattr(args, "prime", None)
         if prime is not None:
             # the value is not in a file, so the error names the option
-            try:
-                checked_prime(prime)
-            except ValueError as exc:
-                raise ParseError(f"--prime {prime}: {exc}") from None
+            _argument(f"--prime {prime}", checked_prime, prime)
         if getattr(args, "output", None) and args.format != "svg":
             # before the computation: only an svg staircase is written
             raise ParseError("--output writes an svg staircase; it needs "

@@ -24,6 +24,7 @@ from math import comb
 
 from .errors import InhomogeneousError, ParseError
 from .ringcore import (
+    DEFAULT_PRIME,
     FreeModuleSpec,
     MatrixOverS,
     Poly,
@@ -254,7 +255,7 @@ def parse_input(text, prime_override=None):
     n, n_at = keys["n"]
     # an overriding prime is not in the text, so its errors have no
     # position
-    p, p_at = (keys.get("p", (32003, ())) if prime_override is None
+    p, p_at = (keys.get("p", (DEFAULT_PRIME, ())) if prime_override is None
                else (prime_override, ()))
     try:
         n = checked_dims(n)
@@ -289,9 +290,10 @@ def parse_input(text, prime_override=None):
         rows = _parse_list(
             tokens, lambda tk: tuple(_parse_list(tk, _parse_int, "()")),
             "[]")
-        for tw in rows:
-            if len(tw) != ring.r:
-                tokens.error(f"row degree {tw} has wrong rank")
+        try:
+            F0 = FreeModuleSpec(ring, rows)
+        except ValueError as exc:
+            tokens.error(f"row degrees: {exc}")
         tok3, line3, col3 = tokens.next()
         if tok3 != "matrix":
             raise ParseError("module needs matrix [[..],..]", line3, col3)
@@ -306,7 +308,6 @@ def parse_input(text, prime_override=None):
         for row in entries:
             if len(row) != ncols:
                 tokens.error("ragged matrix")
-        F0 = FreeModuleSpec(ring, rows)
         cols = [Vector.from_components([row[l] for row in entries])
                 for l in range(ncols)]
         col_degs = []

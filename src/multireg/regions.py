@@ -159,7 +159,8 @@ def _plot_box(region):
     """Lower and upper corner of a staircase plot: one step below the
     minimal generators and three above them."""
     if region.rank != 2:
-        raise ValueError("staircase plots need rank 2")
+        raise ValueError("staircase plots need a rank-2 region; this one "
+                         f"has rank {region.rank}")
     gens = region.minimal_generators
     lo = tuple(min((g[j] for g in gens), default=0) - 1 for j in range(2))
     hi = tuple(max((g[j] for g in gens), default=0) + 3 for j in range(2))

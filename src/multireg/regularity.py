@@ -206,7 +206,8 @@ def ci_regularity(degrees):
     r = len(degrees[0])
     for d in degrees:
         if len(d) != r:
-            raise ValueError("degrees of mixed rank")
+            raise ValueError(f"degree {d} has rank {len(d)}; the first "
+                             f"has rank {r}")
         if any(x <= 0 for x in d):
             raise ValueError(
                 f"degree {d} is not strictly positive; the closed form "

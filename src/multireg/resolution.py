@@ -196,12 +196,14 @@ def minimalize(C):
 def free_resolution(M):
     """Minimal free resolution of coker(M.relations).
 
-    The tower of iterated syzygies is computed first and minimalized
-    second.  Each tower step replaces the incoming kernel generators
-    by their reduced Groebner basis, whose syzygies come with known
-    induced lead terms and can be pruned before the next step; the
-    minimalization at the end removes the non-minimal generators this
-    introduces along with everything else.
+    The tower of iterated syzygies (schreyer_frame) is computed first
+    and minimalized second.  Level one replaces the relation columns
+    by their reduced Groebner basis; each later level is the S-pair
+    syzygies of the level below, a Groebner basis in the order its
+    leads induce, with known induced leads, so pairs with a dominated
+    lead are pruned before the next level.  The minimalization at the
+    end removes the non-minimal generators this introduces along with
+    everything else.
     """
     diffs = schreyer_frame(M.relations)
     terms = [M.F0] + [d.source for d in diffs]
@@ -222,6 +224,9 @@ def koszul_complex(ring, elements):
     """Koszul complex on homogeneous ring elements: terms are exterior
     powers, the differential contracts with the element list."""
     degs = [f.degree() for f in elements]
+    if None in degs:
+        raise ValueError(f"elements[{degs.index(None)}] is zero; a Koszul "
+                         "complex needs nonzero forms")
     c = len(elements)
     levels = []
     for k in range(c + 1):

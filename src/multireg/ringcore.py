@@ -111,8 +111,12 @@ def deg_max(a, b):
 
 
 def deg_leq(a, b):
-    """Componentwise partial order a <= b."""
-    return all(x <= y for x, y in zip(a, b))
+    """Componentwise partial order a <= b; on exponent tuples, a
+    divides b."""
+    for x, y in zip(a, b):
+        if x > y:
+            return False
+    return True
 
 
 def checked_degree(d, r):
@@ -238,25 +242,12 @@ def mono_one(ring):
     return (0,) * ring.nvars
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """True if a | b, i.e. all exponents of a are <= those of b."""
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def mono_div(a, b):
-    """a / b; caller must guarantee divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+# product, divisibility, quotient (the caller guarantees divisibility)
+# and lcm of monomials are the componentwise operations on multidegrees
+mono_mul = deg_add
+mono_divides = deg_leq
+mono_div = deg_sub
+mono_lcm = deg_max
 
 
 def mono_key(m):
@@ -478,7 +469,8 @@ class FreeModuleSpec:
         self.twists = tuple(tuple(t) for t in twists)
         for t in self.twists:
             if len(t) != ring.r:
-                raise ValueError("twist of wrong rank")
+                raise ValueError(f"twist {t} has rank {len(t)}; the ring "
+                                 f"has rank {ring.r}")
 
     @property
     def rank(self):

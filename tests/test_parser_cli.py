@@ -233,6 +233,44 @@ def test_cli_ci_regularity_degrees(capsys):
     assert data["minimal_generators"] == [[0, 2], [1, 1]]
 
 
+def test_cli_ci_regularity_needs_a_file_or_degrees(capsys):
+    code, out, err = _run(["ci-regularity"], capsys)
+    assert code == 2
+    assert "ci-regularity needs a file or --degrees" in err
+
+
+def test_cli_ci_regularity_file_as_the_only_degrees_entry(capsys):
+    # --degrees took the file and left no degree: the file is named
+    code, _, err = _run(["ci-regularity", "--degrees",
+                         "data/ci_surface.mr"], capsys)
+    assert code == 2
+    assert "data/ci_surface.mr given with --degrees" in err
+
+
+def test_cli_truncate_presentation(capsys):
+    """hyperelliptic truncated at (2,1) is generated by its nine forms
+    of that degree; each relation column has one degree, and the text
+    form lists the same generators and relation columns."""
+    argv = ["truncate", "--truncate-at", "2,1",
+            str(DATA / "hyperelliptic.mr")]
+    code, out, _ = _run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["schema"] == "multireg/presentation/v1"
+    assert data["generator_degrees"] == [[2, 1]] * 9
+    ncols = len(data["relation_degrees"])
+    assert ncols > 0
+    assert len(data["relations"]) == 9
+    assert all(len(row) == ncols for row in data["relations"])
+    code, out, _ = _run(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == f"generators: {[[2, 1]] * 9}"
+    assert lines[1] == f"relations: {ncols}"
+    assert lines[2:] == ["  [" + ", ".join(col) + "]"
+                         for col in zip(*data["relations"])]
+
+
 @pytest.mark.parametrize("argv, want", [
     (["region", "Q", "1", "-3,-12"], [
         "minimal generators: [-4, -13]",
@@ -348,6 +386,28 @@ def test_cli_svg_of_a_region_not_of_rank_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert "rank-2" in err and "rank 3" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_job_file_not_utf8(tmp_path, capsys, fmt):
+    # a parse error naming the file and the offset of the first bad
+    # byte, not a UnicodeDecodeError traceback
+    job = tmp_path / "bin.mr"
+    data = b"ring n=[1,1]\nideal x0*y0 \xff\xfe\n"
+    job.write_bytes(data)
+    code, out, err = _run(["betti", str(job), "--format", fmt], capsys)
+    assert code == 2
+    assert "Traceback" not in out + err
+    if fmt == "json":
+        report = json.loads(out)
+        assert report["schema"] == "multireg/error/v1"
+        assert report["error"] == "ParseError"
+        message = report["message"]
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        message = err
+    assert str(job) in message
+    assert f"position {data.index(0xff)}" in message
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -2,6 +2,8 @@ import itertools
 import random
 from pathlib import Path
 
+import pytest
+
 from multireg import (
     FreeModuleSpec,
     MatrixOverS,
@@ -35,6 +37,15 @@ def test_koszul_betti(P11):
     K = koszul_complex(P11, [pp(P11, "x0"), pp(P11, "x1")])
     assert is_minimal_complex(K)
     assert betti(K).data == {(0, (0, 0)): 1, (1, (1, 0)): 2, (2, (2, 0)): 1}
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_koszul_complex_rejects_a_zero_element(P11, at):
+    # a zero element has no degree to twist by: name its position
+    elements = [pp(P11, "x0")]
+    elements.insert(at, Poly.zero(P11))
+    with pytest.raises(ValueError, match=rf"elements\[{at}\] is zero"):
+        koszul_complex(P11, elements)
 
 
 def test_resolution_matches_koszul(P11):

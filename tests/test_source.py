@@ -179,3 +179,28 @@ def test_oracle_builds_no_resolution_of_the_module():
              for node in ast.walk(_tree(SRC / "cohomology.py"))
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert not names & {"free_resolution", "schreyer_frame"}
+
+
+def test_cli_keeps_no_input_rules():
+    """An argument is checked by the library function that takes it,
+    and the front end only names it in the error: no ``if`` in cli.py
+    that raises is decided by a comparison with ``len(...)``,
+    ``min(...)``, a ``.rank`` or the literal 0, the marks of a copied
+    rank or sign rule."""
+    def rule_like(node):
+        return ((isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id in ("len", "min"))
+                or (isinstance(node, ast.Attribute) and node.attr == "rank")
+                or (isinstance(node, ast.Constant) and node.value == 0
+                    and type(node.value) is int))
+
+    found = []
+    for node in ast.walk(_tree(SRC / "cli.py")):
+        if (isinstance(node, ast.If)
+                and any(isinstance(sub, ast.Raise)
+                        for stmt in node.body for sub in ast.walk(stmt))):
+            found += [f"cli.py:{cmp.lineno}" for cmp in ast.walk(node.test)
+                      if isinstance(cmp, ast.Compare)
+                      and any(rule_like(sub) for sub in ast.walk(cmp))]
+    assert found == []
