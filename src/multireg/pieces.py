@@ -283,7 +283,7 @@ class GradedPieces:
         bases: m's cached block, scaled by c."""
         if len(f.terms) != 1:
             raise ValueError("mult_matrix multiplies by one nonzero term")
-        (m, c), = f.terms
+        ((_, m, _), c), = f.terms
         rows, cols, vals, shape = self._block(m, tuple(d))
         A = np.zeros(shape, dtype=np.int64)
         A[rows, cols] = _scaled(vals, c, self.ring.p)

@@ -17,7 +17,6 @@ from .ringcore import (
     MatrixOverS,
     Vector,
     deg_total,
-    term_key,
     vec_add,
     vec_mono_mul,
 )
@@ -242,14 +241,11 @@ def koszul_complex(ring, elements):
         prev_index = {T: i for i, T in enumerate(levels[k - 1][0])}
         cols = []
         for T in subsets:
-            entries = []
+            entries = [None] * len(prev_index)
             for pos, j in enumerate(T):
                 rest = tuple(t for t in T if t != j)
                 sign = 1 if pos % 2 == 0 else p - 1
-                f = elements[j].scale(sign)
-                row = prev_index[rest]
-                for m, cc in f.terms:
-                    entries.append((term_key(row, m), cc))
-            cols.append(Vector(entries))
+                entries[prev_index[rest]] = elements[j].scale(sign)
+            cols.append(Vector.from_components(entries))
         diffs.append(MatrixOverS(spec, levels[k - 1][1], cols, check=False))
     return FreeComplex(terms, diffs, check=False)

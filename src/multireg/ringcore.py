@@ -12,7 +12,10 @@ twist list: component k of ``FreeModuleSpec(ring, twists)`` is a copy
 of S whose generator sits in degree twists[k].  Elements of free
 modules (`Vector`) and matrices between them (`MatrixOverS`) keep their
 terms sorted by the global term order used throughout, with leading
-term first.
+term first.  Polynomials (`Poly`) are the elements of S, the free
+module of rank one, and use the same single term format: a term is
+``((total degree, monomial, -component), coefficient)``, component 0
+for a polynomial, and comparing keys as tuples is the term order.
 
 The term order compares exponent tuples by total degree and then
 lexicographically (block 1 variables dominate); ties between free
@@ -21,6 +24,7 @@ module components go to the lower component index.
 
 from itertools import product as _iterproduct
 from math import prod
+from operator import index
 
 from .errors import InhomogeneousError, RingMismatchError
 
@@ -95,7 +99,7 @@ def checked_prime(p):
 # multidegrees: plain tuples of length r
 
 def deg_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple([x + y for x, y in zip(a, b)])
 
 
 def deg_sub(a, b):
@@ -250,11 +254,6 @@ mono_div = deg_sub
 mono_lcm = deg_max
 
 
-def mono_key(m):
-    """Sort key of the global term order (total degree, then lex)."""
-    return (sum(m), m)
-
-
 def _compositions(total, parts):
     """All exponent tuples of a given length summing to total, in
     descending lex order."""
@@ -295,53 +294,45 @@ def count_monomials(ring, d):
 # polynomials
 
 class Poly:
-    """Element of S: terms kept sorted with leading term first, no zero
-    coefficients, coefficients in [1, p)."""
+    """Element of S, the free module of rank one: its terms are the
+    `Vector` terms of component 0, ``((total degree, monomial, 0), c)``,
+    sorted with leading term first, with coefficients in [1, p).  The
+    constructor takes terms already in that form; the classmethods and
+    the arithmetic build them."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms, _canonical=False):
+    def __init__(self, ring, terms):
         self.ring = ring
-        if _canonical:
-            self.terms = terms
-        else:
-            acc = {}
-            p = ring.p
-            for m, c in terms:
-                c = (acc.get(m, 0) + c) % p
-                if c:
-                    acc[m] = c
-                else:
-                    acc.pop(m, None)
-            self.terms = tuple(sorted(acc.items(), key=lambda t: mono_key(t[0]),
-                                      reverse=True))
+        self.terms = terms
 
     @classmethod
     def zero(cls, ring):
-        return cls(ring, (), _canonical=True)
+        return cls(ring, ())
 
     @classmethod
     def one(cls, ring):
-        return cls(ring, ((mono_one(ring), 1),), _canonical=True)
+        return cls.monomial(ring, mono_one(ring))
 
     @classmethod
     def constant(cls, ring, c):
-        c %= ring.p
-        if not c:
-            return cls.zero(ring)
-        return cls(ring, ((mono_one(ring), c),), _canonical=True)
+        return cls.monomial(ring, mono_one(ring), c)
 
     @classmethod
     def variable(cls, ring, idx):
-        m = tuple(1 if k == idx else 0 for k in range(ring.nvars))
-        return cls(ring, ((m, 1),), _canonical=True)
+        if not 0 <= index(idx) < ring.nvars:
+            raise ValueError(f"variable index {idx} is out of range: the "
+                             f"ring has {ring.nvars} variables")
+        return cls.monomial(ring, unit_degree(ring.nvars, idx))
 
     @classmethod
     def monomial(cls, ring, m, c=1):
-        c %= ring.p
-        if not c:
-            return cls.zero(ring)
-        return cls(ring, ((tuple(m), c),), _canonical=True)
+        m = tuple(map(index, m))
+        if len(m) != ring.nvars or min(m) < 0:
+            raise ValueError(f"exponent tuple {m} needs {ring.nvars} "
+                             "integer entries, none negative")
+        c = index(c) % ring.p
+        return cls(ring, ((term_key(0, m), c),) if c else ())
 
     def _check_ring(self, other):
         if self.ring != other.ring:
@@ -358,42 +349,38 @@ class Poly:
         return hash((self.ring, self.terms))
 
     def __add__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check_ring(other)
-        return Poly(self.ring, self.terms + other.terms)
+        return Poly(self.ring, vec_add(self.terms, other.terms, self.ring.p))
 
     def __neg__(self):
-        p = self.ring.p
-        return Poly(self.ring, tuple((m, p - c) for m, c in self.terms),
-                    _canonical=True)
+        return self.scale(-1)
 
     def __sub__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, c):
-        c %= self.ring.p
-        if not c:
-            return Poly.zero(self.ring)
-        p = self.ring.p
-        return Poly(self.ring, tuple((m, (k * c) % p) for m, k in self.terms),
-                    _canonical=True)
+        return Poly(self.ring, vec_scale(self.terms, index(c), self.ring.p))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check_ring(other)
         acc = {}
-        p = self.ring.p
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
+        for (_, m1, _), c1 in self.terms:
+            for (_, m2, _), c2 in other.terms:
                 m = mono_mul(m1, m2)
-                c = (acc.get(m, 0) + c1 * c2) % p
-                if c:
-                    acc[m] = c
-                else:
-                    acc.pop(m, None)
-        return Poly(self.ring,
-                    tuple(sorted(acc.items(), key=lambda t: mono_key(t[0]),
-                                 reverse=True)), _canonical=True)
+                acc[m] = acc.get(m, 0) + c1 * c2
+        p = self.ring.p
+        # keys are distinct, so sorting the terms sorts their keys
+        terms = [(term_key(0, m), c % p) for m, c in acc.items() if c % p]
+        terms.sort(reverse=True)
+        return Poly(self.ring, tuple(terms))
 
     __rmul__ = __mul__
 
@@ -414,13 +401,11 @@ class Poly:
     def degree(self):
         """Common multidegree of all terms; None for the zero
         polynomial; raises when inhomogeneous."""
-        if not self.terms:
-            return None
-        d = self.ring.monomial_degree(self.terms[0][0])
-        for m, _ in self.terms[1:]:
-            if self.ring.monomial_degree(m) != d:
-                raise InhomogeneousError(f"{self} is not homogeneous")
-        return d
+        S = FreeModuleSpec(self.ring, (zero_degree(self.ring.r),))
+        try:
+            return Vector(self.terms, _canonical=True).degree(S)
+        except InhomogeneousError:
+            raise InhomogeneousError(f"{self} is not homogeneous") from None
 
     def __repr__(self):
         return poly_to_string(self)
@@ -434,7 +419,7 @@ def poly_to_string(f):
     ring = f.ring
     half = ring.p // 2
     parts = []
-    for m, c in f.terms:
+    for (_, m, _), c in f.terms:
         if c > half:
             sign, mag = "-", ring.p - c
         else:
@@ -517,14 +502,10 @@ class Vector:
 
     @classmethod
     def from_components(cls, polys):
-        """Build from a list of Poly entries, one per component."""
-        terms = []
-        for k, f in enumerate(polys):
-            if f is None or not f:
-                continue
-            for m, c in f.terms:
-                terms.append((term_key(k, m), c))
-        return cls(terms)
+        """Build from a list of Poly entries (None for 0), one per
+        component: each entry's terms re-keyed to its component."""
+        return cls([((tot, m, -k), c) for k, f in enumerate(polys) if f
+                    for (tot, m, _), c in f.terms])
 
     def __bool__(self):
         return bool(self.terms)
@@ -541,14 +522,13 @@ class Vector:
         return (-negc, m), c
 
     def component_poly(self, ring, comp):
-        return Poly(ring, tuple((k[1], c) for k, c in self.terms
-                                if -k[2] == comp))
+        return Poly(ring, tuple(((tot, m, 0), c)
+                                for (tot, m, negc), c in self.terms
+                                if -negc == comp))
 
     def degree(self, spec):
         """Common multidegree when homogeneous in the given free
         module; None for zero; raises otherwise."""
-        if not self.terms:
-            return None
         ring = spec.ring
         d = None
         for (tot, m, negc), _ in self.terms:
@@ -670,7 +650,13 @@ class MatrixOverS:
 
     @classmethod
     def from_entries(cls, source, target, entries):
-        """entries[k][l] is the Poly in row k, column l (None for 0)."""
+        """entries[k][l] is the Poly in row k, column l (None for 0):
+        one row per target component, one column per source one."""
+        lengths = [len(row) for row in entries]
+        if lengths != [source.rank] * target.rank:
+            raise ValueError(f"entries need {target.rank} rows of "
+                             f"{source.rank} columns, got {len(lengths)} "
+                             f"rows of {lengths} columns")
         cols = [Vector.from_components([row[l] for row in entries])
                 for l in range(source.rank)]
         return cls(source, target, cols)

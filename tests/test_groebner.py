@@ -113,6 +113,20 @@ def test_normal_form_single_step(P11):
     assert normal_form(pp(P11, "x0*y1"), G) == pp(P11, "x1*y0")
 
 
+def test_normal_form_of_a_poly_needs_a_rank_one_basis(P11):
+    """x0*e0 is not in the span of x0*e0 + y0*e1, yet reducing the
+    polynomial x0 by that basis used to give 0, with the component-1
+    remainder dropped."""
+    x0, y0 = Poly.variable(P11, 0), Poly.variable(P11, 2)
+    F = FreeModuleSpec(P11, [(0, 0), (1, -1)])
+    G = buchberger(MatrixOverS.from_columns(
+        F, [Vector.from_components([x0, y0])]))
+    with pytest.raises(ValueError, match="rank one, not 2"):
+        normal_form(x0, G)
+    assert normal_form(Vector.from_components([x0]), G) == \
+        Vector.from_components([None, -y0])
+
+
 def test_normal_form_idempotent(P11):
     rng = random.Random(1)
     gens = [pp(P11, "x0*y0 - x1*y1"), pp(P11, "x0^2*y1")]

@@ -167,7 +167,7 @@ def test_mult_matrix_blocks_are_cached_per_monomial(monkeypatch):
     A = gp.mult_matrix(x, d)
     tgt = gp.basis((t, 2))
     reducible = [(c, m) for c, m in gp.basis(d)
-                 if (c, mono_mul(m, x.terms[0][0])) not in tgt]
+                 if (c, mono_mul(m, x.terms[0][0][1])) not in tgt]
     assert 0 < len(reducible) < len(gp.basis(d))
     assert len(calls) == len(reducible)
     calls.clear()

@@ -9,8 +9,11 @@ from multireg import (
     RingMismatchError,
     RingSpec,
     Vector,
+    buchberger,
     hilbert_function,
+    ideal_matrix,
     monomials_of_degree,
+    normal_form,
 )
 from multireg.ringcore import count_monomials, term_key
 
@@ -177,6 +180,23 @@ def test_matrix_homogeneity_enforced(P11):
     assert ok.entry(0, 0) == x0
 
 
+@pytest.mark.parametrize("rows, shape", [
+    (lambda x0: [[x0]], r"2 rows of 1 columns, got 1 rows of \[1\]"),
+    (lambda x0: [[x0], [x0, x0]],
+     r"2 rows of 1 columns, got 2 rows of \[1, 2\]"),
+    (lambda x0: [[x0], [x0], [x0]],
+     r"2 rows of 1 columns, got 3 rows of \[1, 1, 1\]"),
+], ids=["missing-row", "extra-column", "extra-row"])
+def test_matrix_from_entries_checks_the_shape(P11, rows, shape):
+    """A missing row is not read as zero, and an extra row or column
+    is neither dropped nor left to a bare IndexError."""
+    x0 = Poly.variable(P11, 0)
+    F = FreeModuleSpec(P11, [(0, 0), (0, 0)])
+    src = FreeModuleSpec(P11, [(1, 0)])
+    with pytest.raises(ValueError, match=shape):
+        MatrixOverS.from_entries(src, F, rows(x0))
+
+
 def test_matrix_from_columns_twists_by_column_degrees(P11):
     x0 = Poly.variable(P11, 0)
     y0 = Poly.variable(P11, 2)
@@ -247,3 +267,64 @@ def test_vector_rejects_a_non_canonical_term_list(coeffs):
     key = term_key(0, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         Vector([(key, c) for c in coeffs])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda R: Poly.variable(R, 7), ValueError),
+    (lambda R: Poly.variable(R, -1), ValueError),
+    (lambda R: Poly.monomial(R, (1, 0)), ValueError),
+    (lambda R: Poly.monomial(R, (-1, 0, 0, 0)), ValueError),
+    (lambda R: Poly.monomial(R, (1.5, 0, 0, 0)), TypeError),
+    (lambda R: Poly.constant(R, 1.5), TypeError),
+    (lambda R: Poly.variable(R, 0).scale(1.5), TypeError),
+    (lambda R: Poly.variable(R, 0) + 1, TypeError),
+    (lambda R: Poly.variable(R, 0) - 1, TypeError),
+], ids=["index-past-end", "index-negative", "exponents-too-few",
+        "exponent-negative", "exponent-float", "coefficient-float",
+        "scale-float", "add-int", "sub-int"])
+def test_poly_constructors_check_their_input(P11, build, error):
+    """Each of these used to give a wrong polynomial (the constant 1, a
+    tuple cut short by zip, a float exponent or coefficient) or an
+    AttributeError."""
+    with pytest.raises(error):
+        build(P11)
+
+
+def _random_homogeneous(ring, rng, d):
+    """A sum of up to four terms of multidegree d, coefficients drawn
+    from beyond [0, p) so that the constructors must reduce them."""
+    ms = monomials_of_degree(ring, d)
+    f = Poly.zero(ring)
+    for _ in range(rng.randint(1, 4)):
+        f = f + Poly.monomial(ring, rng.choice(ms),
+                              rng.randint(-ring.p, 2 * ring.p))
+    return f
+
+
+def _assert_canonical(f):
+    keys = [k for k, _ in f.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:])), f
+    assert all(1 <= c < f.ring.p for _, c in f.terms), f
+    assert all(k == term_key(0, k[1]) for k in keys), f
+
+
+def test_a_poly_is_the_component_zero_vector(P12):
+    """A Poly's terms are the terms of the one-component Vector it
+    spans, so crossing between the two is no conversion at all, and
+    ring arithmetic keeps the terms in that one canonical form."""
+    import random
+    rng = random.Random(26)
+    G = buchberger(ideal_matrix(P12, [
+        pp(P12, "x0*y0 + 3*x1*y1 - x0*y2"), pp(P12, "x1^2*y2 - 5*x0^2*y0")]))
+    for _ in range(40):
+        d = (rng.randint(0, 2), rng.randint(0, 2))
+        f = _random_homogeneous(P12, rng, d)
+        g = _random_homogeneous(P12, rng, d)
+        v = Vector.from_components([f])
+        assert v.terms == f.terms
+        assert v.component_poly(P12, 0) == f
+        assert normal_form(f, G).terms == normal_form(
+            Vector(f.terms, _canonical=True), G).terms
+        for h in (f + g, f - g, f - f, -f, f * g, f ** 3, f.scale(7)):
+            _assert_canonical(h)
+        assert not (f - f).terms
