@@ -30,6 +30,7 @@ result carries the power used and whether it is certified.
 """
 
 from bisect import bisect_left
+from functools import reduce
 from itertools import accumulate, combinations, product as _iterproduct
 from math import comb
 
@@ -53,8 +54,8 @@ from .ringcore import (
     deg_max,
     deg_sub,
     mono_lcm,
-    term_key,
     unit_degree,
+    vec_entries,
     zero_degree,
 )
 
@@ -143,15 +144,14 @@ def bracket_power_complex(ring, t):
         cols = []
         for _, s, sizes in level:
             if len(s) == ring.r:
-                col = ((term_key(0, tuple(t if v in s else 0
-                                          for v in range(ring.nvars))), 1),)
+                col = [(0, tuple(t if v in s else 0
+                                 for v in range(ring.nvars)), 1)]
             else:
-                col = tuple(
-                    (term_key(index[s[:pos] + s[pos + 1:]], power[w]),
-                     1 if (pos - ring.var_factor[w]) % 2 == 0 else p - 1)
-                    for pos, w in enumerate(s)
-                    if sizes[ring.var_factor[w]] > 1)
-            cols.append(Vector(col, _canonical=True))
+                col = [(index[s[:pos] + s[pos + 1:]], power[w],
+                        1 if (pos - ring.var_factor[w]) % 2 == 0 else p - 1)
+                       for pos, w in enumerate(s)
+                       if sizes[ring.var_factor[w]] > 1]
+            cols.append(Vector.from_entries(col))
         terms.append(FreeModuleSpec(ring, [tuple(t * k for k in sizes)
                                            for _, _, sizes in level]))
         diffs.append(MatrixOverS(terms[-1], terms[-2], cols, check=False))
@@ -223,9 +223,9 @@ def _ext_entries(complex_):
     the piece at F_j twist k into the piece at F_{j+1} twist l."""
     ring = complex_.terms[0].ring
     twists = [spec.twists for spec in complex_.terms]
-    entries = [[(l, -negc, Poly.monomial(ring, m, c))
+    entries = [[(l, k, Poly.monomial(ring, m, c))
                 for l, col in enumerate(diff.columns)
-                for (_, m, negc), c in col.terms]
+                for k, m, c in vec_entries(col.terms)]
                for diff in complex_.differentials]
     return twists, entries
 
@@ -345,14 +345,11 @@ def _certified_power(pieces, lo):
     every twist of F at every a, and step 2 makes the table exact.
     """
     ring = pieces.ring
-    lcms = {}
-    for g in pieces.gb.elements:
-        (k, mono), _ = g.lead()
-        lcms[k] = mono_lcm(lcms.get(k, mono), mono)
     t = 1
     for k, tw in enumerate(pieces.F0.twists):
-        if k in lcms:
-            tw = deg_add(tw, ring.monomial_degree(lcms[k]))
+        leads = pieces.gb.lead_monomials(k)
+        if leads:
+            tw = deg_add(tw, ring.monomial_degree(reduce(mono_lcm, leads)))
         t = max(t, *(b - a - n for b, a, n in zip(tw, lo, ring.n)))
     return t
 

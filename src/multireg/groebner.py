@@ -43,6 +43,7 @@ from .ringcore import (
     term_key,
     vec_add,
     vec_mono_mul,
+    vec_renumber,
     vec_scale,
 )
 
@@ -75,6 +76,11 @@ class GroebnerBasis:
 
     def __len__(self):
         return len(self.elements)
+
+    def lead_monomials(self, comp):
+        """The lead monomials of the elements whose lead lies in
+        component comp, in element order."""
+        return [lm for lm, _ in self._leads.get(comp, ())]
 
     def as_matrix(self):
         return MatrixOverS.from_columns(self.ambient, self.elements)
@@ -452,7 +458,7 @@ def schreyer_frame(relations):
             syz = [(u, mu, 1), (v, mv, p - 1)]
             syz += [(idx, m, p - c) for idx, m, c in quotients]
             degs.append(deg_add(ring.monomial_degree(mu), src.twists[u]))
-            cols.append(Vector([(term_key(i, m), c) for i, m, c in syz]))
+            cols.append(Vector.from_entries(syz))
             # already in decreasing lifted order: the lead, the other
             # lcm term (same lifted monomial, larger rank), then the
             # quotients, whose lifted leads decrease in the level below
@@ -490,10 +496,9 @@ def _common_colon(pairs):
         for k in range(rank)], check=False)
     cols, twists = [], []
     for j, (N, _) in enumerate(pairs):
+        block = {k: k + j * rank for k in range(rank)}
         for w, tw in zip(N.columns, N.source.twists):
-            cols.append(Vector(tuple(((tot, m, negc - j * rank), c)
-                                     for (tot, m, negc), c in w.terms),
-                               _canonical=True))
+            cols.append(Vector(vec_renumber(w.terms, block), _canonical=True))
             twists.append(deg_sub(tw, shifts[j]))
     Ns = MatrixOverS(FreeModuleSpec(ring, twists), stacked, cols, check=False)
     return buchberger(preimage(phi, Ns)).as_matrix()

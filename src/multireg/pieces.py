@@ -45,7 +45,7 @@ from .ringcore import (
     mono_divides,
     mono_mul,
     mono_one,
-    term_key,
+    vec_entries,
 )
 
 
@@ -134,7 +134,7 @@ class GradedPieces:
             i, low = next((st for st in steps if (k, st[1]) in memo),
                           steps[0])
             chain.append(i)
-        leads = [lm for lm, _ in self.gb._leads.get(k, ())]
+        leads = self.gb.lead_monomials(k)
         got = memo.get((k, low))
         if got is None:
             # degree 0: the unit monomial, unless a lead is the unit
@@ -177,10 +177,9 @@ class GradedPieces:
                 cols.append(j)
                 vals.append(1)
                 continue
-            nf = normal_form(Vector(((term_key(comp, prod), 1),),
-                                    _canonical=True), self.gb)
-            for (_, mm, negc), c in nf.terms:
-                rows.append(idx[(-negc, mm)])
+            nf = normal_form(Vector.monomial(comp, prod), self.gb)
+            for k, mm, c in vec_entries(nf.terms):
+                rows.append(idx[(k, mm)])
                 cols.append(j)
                 vals.append(c)
         got = (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
@@ -225,8 +224,8 @@ class GradedPieces:
                 for _, x, c in self._koszul_terms(1, e, lower_bound)]
         cand = np.zeros((len(idx), len(vectors)), dtype=np.int64)
         for j, v in enumerate(vectors):
-            for (_, m, negc), c in normal_form(v, self.gb).terms:
-                cand[idx[(-negc, m)], j] = c
+            for k, m, c in vec_entries(normal_form(v, self.gb).terms):
+                cand[idx[(k, m)], j] = c
         ncols = sum(A.shape[1] for A in span)
         _, pivots = modp.rref(np.hstack(span + [cand]), self.ring.p)
         return [c - ncols for c in pivots if c >= ncols]
@@ -283,7 +282,7 @@ class GradedPieces:
         bases: m's cached block, scaled by c."""
         if len(f.terms) != 1:
             raise ValueError("mult_matrix multiplies by one nonzero term")
-        ((_, m, _), c), = f.terms
+        (_, m, c), = vec_entries(f.terms)
         rows, cols, vals, shape = self._block(m, tuple(d))
         A = np.zeros(shape, dtype=np.int64)
         A[rows, cols] = _scaled(vals, c, self.ring.p)

@@ -16,6 +16,9 @@ Intersections of unions of orthants are again unions of orthants
 (componentwise maxima of generators), so the whole calculus is exact.
 """
 
+from itertools import accumulate
+from math import inf
+
 from .ringcore import _compositions, deg_leq, deg_max, deg_total
 
 
@@ -155,16 +158,24 @@ def betti_bound_Q(B):
     return _betti_bound(B, region_Q)
 
 
-def _plot_box(region):
-    """Lower and upper corner of a staircase plot: one step below the
-    minimal generators and three above them."""
+def _plot_cells(region):
+    """What a staircase plot of a rank-2 region reads: the corners
+    (lo, hi) of its box, one step below the minimal generators and
+    three above them, the generator set, and the lowest member row of
+    each column.  (x, y) lies in the region exactly when
+    y >= min{g_1 : g_0 <= x}, so one running minimum over the columns
+    answers every cell in constant time."""
     if region.rank != 2:
         raise ValueError("staircase plots need a rank-2 region; this one "
                          f"has rank {region.rank}")
     gens = region.minimal_generators
     lo = tuple(min((g[j] for g in gens), default=0) - 1 for j in range(2))
     hi = tuple(max((g[j] for g in gens), default=0) + 3 for j in range(2))
-    return lo, hi
+    # an antichain has at most one generator per first coordinate
+    first = dict(gens)
+    xs = range(lo[0], hi[0] + 1)
+    floor = dict(zip(xs, accumulate((first.get(x, inf) for x in xs), min)))
+    return lo, hi, set(gens), floor
 
 
 def staircase_text(region):
@@ -172,8 +183,7 @@ def staircase_text(region):
     the second coordinate (descending), '#' marks membership, 'o' the
     minimal generators.  The footer gives each column's first
     coordinate, and every cell is as wide as the widest of them."""
-    lo, hi = _plot_box(region)
-    gens = region.minimal_generators
+    lo, hi, gens, floor = _plot_cells(region)
     if not gens:
         return "(empty region)"
     xs = range(lo[0], hi[0] + 1)
@@ -182,14 +192,8 @@ def staircase_text(region):
     yw = max(4, *(len(str(y)) for y in ys))
     lines = []
     for y in ys:
-        row = []
-        for x in xs:
-            if (x, y) in gens:
-                row.append("o")
-            elif region.contains((x, y)):
-                row.append("#")
-            else:
-                row.append(".")
+        row = ["o" if (x, y) in gens else "#" if y >= floor[x] else "."
+               for x in xs]
         lines.append(f"{y:>{yw}} " + " ".join(c.rjust(w) for c in row))
     lines.append(" " * (yw + 1) + " ".join(str(x).rjust(w) for x in xs))
     return "\n".join(lines)
@@ -198,8 +202,7 @@ def staircase_text(region):
 def staircase_svg(region):
     """Minimal SVG rendering of a rank-2 staircase region over its plot
     box, 24 pixels per degree."""
-    lo, hi = _plot_box(region)
-    gens = region.minimal_generators
+    lo, hi, gens, floor = _plot_cells(region)
     cell = 24
     w = (hi[0] - lo[0] + 1) * cell
     h = (hi[1] - lo[1] + 1) * cell
@@ -213,7 +216,7 @@ def staircase_svg(region):
     for x in range(lo[0], hi[0] + 1):
         for y in range(lo[1], hi[1] + 1):
             cx, cy = pix(x, y)
-            if region.contains((x, y)):
+            if y >= floor[x]:
                 parts.append(f'<rect x="{cx - cell // 2}" y="{cy - cell // 2}"'
                              f' width="{cell}" height="{cell}"'
                              ' fill="#cde7d8"/>')

@@ -18,7 +18,10 @@ from .ringcore import (
     Vector,
     deg_total,
     vec_add,
+    vec_constants,
+    vec_entries,
     vec_mono_mul,
+    vec_renumber,
 )
 
 
@@ -131,12 +134,9 @@ def is_minimal_complex(C):
 
 def _lowest_unit(cols):
     """(row, column, coefficient) of the unit entry with the smallest
-    row, then the smallest column, or None.  Constant terms sort last
-    in a column."""
-    return min(((-key[2], l, c) for l, col in enumerate(cols) if col
-                for key, c in itertools.takewhile(lambda t: not t[0][0],
-                                                  reversed(col))),
-               default=None)
+    row, then the smallest column, or None."""
+    return min(((k, l, c) for l, col in enumerate(cols) if col
+                for k, _, c in vec_constants(col)), default=None)
 
 
 def minimalize(C):
@@ -162,15 +162,14 @@ def minimalize(C):
         rows = live[i]
         # rows cancelled as columns of d_{i-1} go now; the columns of
         # d_{i-1} cancelled as rows here go at the rebuild
-        A = [tuple(t for t in col.terms if rows[-t[0][2]])
-             for col in d.columns]
+        kept = {k: k for k, ok in enumerate(rows) if ok}
+        A = [vec_renumber(col.terms, kept) for col in d.columns]
         while (hit := _lowest_unit(A)) is not None:
             k, l, u = hit
             pivot, A[l] = A[l], None
             minus_uinv = p - pow(u, -1, p)
             for c, col in enumerate(A):
-                for (tot, m, negc), f in [t for t in col or ()
-                                          if t[0][2] == -k]:
+                for _, m, f in vec_entries(vec_renumber(col or (), {k: k})):
                     A[c] = vec_add(A[c], vec_mono_mul(pivot, m,
                                                       f * minus_uinv, p), p)
             rows[k] = live[i + 1][l] = False
@@ -181,9 +180,9 @@ def minimalize(C):
              for t, alive in zip(C.terms, live)]
     mats = []
     for i, A in enumerate(diffs):
-        new_id = list(itertools.accumulate(live[i], initial=0))
-        cols = [Vector(tuple(((tot, m, -new_id[-negc]), c)
-                             for (tot, m, negc), c in col), _canonical=True)
+        new_id = {k: n for n, k in enumerate(
+            k for k, ok in enumerate(live[i]) if ok)}
+        cols = [Vector(vec_renumber(col, new_id))
                 for col, ok in zip(A, live[i + 1]) if ok]
         mats.append(MatrixOverS(specs[i + 1], specs[i], cols, check=False))
     while len(specs) > 1 and specs[-1].rank == 0:

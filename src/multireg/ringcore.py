@@ -17,12 +17,19 @@ module of rank one, and use the same single term format: a term is
 ``((total degree, monomial, -component), coefficient)``, component 0
 for a polynomial, and comparing keys as tuples is the term order.
 
+That key is private to this module and to ``groebner``, whose division
+loops read it directly.  Every other module builds and reads module
+elements as ``(component, monomial, coefficient)`` entries:
+``Vector.monomial`` and ``Vector.from_entries`` build them, and
+``vec_entries``, ``vec_renumber`` and ``vec_constants`` read and
+re-index term tuples without unpacking a key.
+
 The term order compares exponent tuples by total degree and then
 lexicographically (block 1 variables dominate); ties between free
 module components go to the lower component index.
 """
 
-from itertools import product as _iterproduct
+from itertools import product as _iterproduct, takewhile
 from math import prod
 from operator import index
 
@@ -496,16 +503,27 @@ class Vector:
         self.terms = terms
 
     @classmethod
+    def monomial(cls, comp, mono):
+        """The single term mono * e_comp."""
+        return cls(((term_key(comp, mono), 1),), _canonical=True)
+
+    @classmethod
     def unit(cls, ring, comp):
-        m = mono_one(ring)
-        return cls(((term_key(comp, m), 1),), _canonical=True)
+        return cls.monomial(comp, mono_one(ring))
+
+    @classmethod
+    def from_entries(cls, entries):
+        """Build from (component, monomial, coefficient) entries in any
+        order, with distinct (component, monomial) pairs and nonzero
+        coefficients."""
+        return cls([(term_key(k, m), c) for k, m, c in entries])
 
     @classmethod
     def from_components(cls, polys):
         """Build from a list of Poly entries (None for 0), one per
-        component: each entry's terms re-keyed to its component."""
-        return cls([((tot, m, -k), c) for k, f in enumerate(polys) if f
-                    for (tot, m, _), c in f.terms])
+        component."""
+        return cls.from_entries((k, m, c) for k, f in enumerate(polys) if f
+                                for _, m, c in vec_entries(f.terms))
 
     def __bool__(self):
         return bool(self.terms)
@@ -522,9 +540,7 @@ class Vector:
         return (-negc, m), c
 
     def component_poly(self, ring, comp):
-        return Poly(ring, tuple(((tot, m, 0), c)
-                                for (tot, m, negc), c in self.terms
-                                if -negc == comp))
+        return Poly(ring, vec_renumber(self.terms, {comp: 0}))
 
     def degree(self, spec):
         """Common multidegree when homogeneous in the given free
@@ -572,6 +588,26 @@ def vec_add(a, b, p):
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def vec_entries(a):
+    """The (component, monomial, coefficient) entries of a term tuple,
+    in its order."""
+    return [(-negc, m, c) for (_, m, negc), c in a]
+
+
+def vec_renumber(a, new_id):
+    """The terms of a in the components that the dict new_id maps,
+    each moved to component new_id[k].  The map must keep the order of
+    those components, so the terms stay sorted."""
+    return tuple(((tot, m, -new_id[-negc]), c)
+                 for (tot, m, negc), c in a if -negc in new_id)
+
+
+def vec_constants(a):
+    """The entries of a term tuple whose monomial is 1.  Their total
+    degree is 0, so they sort last and only the tail is read."""
+    return vec_entries(takewhile(lambda t: not t[0][0], reversed(a)))
 
 
 def vec_scale(a, c, p):

@@ -20,7 +20,6 @@ from .ringcore import (
     deg_max,
     deg_sub,
     monomials_of_degree,
-    term_key,
 )
 
 
@@ -39,7 +38,7 @@ def truncate_free(F, d):
         target_deg = deg_max(tw, d)
         for m in monomials_of_degree(ring, deg_sub(target_deg, tw)):
             twists.append(target_deg)
-            cols.append(Vector(((term_key(k, m), 1),), _canonical=True))
+            cols.append(Vector.monomial(k, m))
     G = FreeModuleSpec(ring, twists)
     return G, MatrixOverS(G, F, cols, check=False)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
@@ -199,6 +200,34 @@ def test_staircase_renderings():
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     with pytest.raises(ValueError):
         staircase_text(Region(3, [(0, 0, 0)]))
+    # a large level, cell by cell against region_L's closed form
+    # membership: sum_j max(d_j - b_j, 0) <= i
+    i, d = 150, (3, -2)
+    R = region_L(i, d)
+    gens = set(R.minimal_generators)
+    lines = staircase_text(R).splitlines()
+    xs = [int(x) for x in lines[-1].split()]
+    ys = [int(line.split()[0]) for line in lines[:-1]]
+    cells = {(x, y) for x in xs for y in ys}
+    member = {b for b in cells
+              if sum(max(dj - bj, 0) for dj, bj in zip(d, b)) <= i}
+    assert gens <= member
+    for y, line in zip(ys, lines):
+        assert line.split()[1:] == ["o" if (x, y) in gens
+                                    else "#" if (x, y) in member else "."
+                                    for x in xs]
+    # the SVG marks the same cells: a filled square for each member and
+    # a large dot for each generator, 24 pixels per degree
+    svg = staircase_svg(R)
+    h = 24 * len(ys)
+
+    def cell(cx, cy):
+        return xs[0] + cx // 24, ys[-1] + (h - cy) // 24
+
+    assert {cell(int(x) + 12, int(y) + 12) for x, y in re.findall(
+        r'<rect x="(\d+)" y="(\d+)"', svg)} == member
+    assert {cell(int(x), int(y)) for x, y in re.findall(
+        r'<circle cx="(\d+)" cy="(\d+)" r="4"', svg)} == gens
 
 
 def test_staircase_footer_reads_the_coordinates():

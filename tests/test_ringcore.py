@@ -15,7 +15,13 @@ from multireg import (
     monomials_of_degree,
     normal_form,
 )
-from multireg.ringcore import count_monomials, term_key
+from multireg.ringcore import (
+    count_monomials,
+    term_key,
+    vec_constants,
+    vec_entries,
+    vec_renumber,
+)
 
 from .conftest import free_basis_of_degree, pp
 
@@ -328,3 +334,25 @@ def test_a_poly_is_the_component_zero_vector(P12):
         for h in (f + g, f - g, f - f, -f, f * g, f ** 3, f.scale(7)):
             _assert_canonical(h)
         assert not (f - f).terms
+    # the (component, monomial, coefficient) view of vectors in four
+    # components, with constant entries among them
+    for _ in range(60):
+        picked = {}
+        for _ in range(rng.randint(0, 8)):
+            m = rng.choice(monomials_of_degree(
+                P12, (rng.randint(0, 1), rng.randint(0, 1))))
+            picked[(rng.randrange(4), m)] = rng.randrange(1, P12.p)
+        want = sorted((k, m, c) for (k, m), c in picked.items())
+        v = Vector.from_entries(rng.sample(want, len(want)))
+        assert sorted(vec_entries(v.terms)) == want
+        assert Vector.from_entries(vec_entries(v.terms)) == v
+        kept = sorted(rng.sample(range(4), rng.randint(0, 4)))
+        moved = dict(zip(kept, sorted(rng.sample(range(6), len(kept)))))
+        for new_id in (moved, {k: k for k in kept}):
+            terms = vec_renumber(v.terms, new_id)
+            keys = [key for key, _ in terms]
+            assert all(a > b for a, b in zip(keys, keys[1:])), new_id
+            assert sorted(vec_entries(terms)) == sorted(
+                (new_id[k], m, c) for k, m, c in want if k in new_id)
+        assert sorted(vec_constants(v.terms)) == [
+            e for e in want if not any(e[1])]

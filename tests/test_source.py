@@ -204,3 +204,37 @@ def test_cli_keeps_no_input_rules():
                       if isinstance(cmp, ast.Compare)
                       and any(rule_like(sub) for sub in ast.walk(cmp))]
     assert found == []
+
+
+def test_only_ringcore_and_groebner_read_term_keys():
+    """A term of a module element is ``((total degree, monomial,
+    -component), c)``, and only ringcore and groebner build or read
+    that key: every other module works with the (component, monomial,
+    coefficient) entries of ringcore's view, so the key can change
+    behind those two modules.  The marks of a key handled by hand are a
+    ``term_key`` import, a ``_canonical`` keyword, a target that
+    unpacks a key, ``((_, m, negc), c)``, and a chain of constant
+    indexes on a term, such as ``t[0][2]``."""
+    def constant_index(node):
+        return (isinstance(node, ast.Subscript)
+                and isinstance(node.slice, ast.Constant)
+                and type(node.slice.value) is int)
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("ringcore.py", "groebner.py"):
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.alias):
+                hit = node.name == "term_key"
+            elif isinstance(node, ast.keyword):
+                hit = node.arg == "_canonical"
+            elif isinstance(node, ast.Tuple):
+                hit = (isinstance(node.ctx, ast.Store) and len(node.elts) == 2
+                       and isinstance(node.elts[0], ast.Tuple)
+                       and len(node.elts[0].elts) == 3)
+            else:
+                hit = constant_index(node) and constant_index(node.value)
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
