@@ -12,11 +12,11 @@ oracle ranks the differentials of each Ext complex from the top down:
 it reads the ``rref`` pivots of every differential above the bottom
 one, which fix the rows the next one down keeps, and takes the
 ``rank`` of the bottom one.  The graded pieces' minimal generators of a
-truncation are the candidates at the ``rref`` pivots of the span of the
-one-variable shifts beside them.  Both hand over dense int64 arrays of
-graded pieces, which are typically a few percent dense.  The graded
-pieces' Koszul homology assembles its differentials as sparse rows and
-takes their ``rank_rows``.
+truncation are the basis elements at the ``rref`` pivots of an identity
+block placed after the one-variable shifts.  Both hand over dense int64
+arrays of graded pieces, which are typically a few percent dense.  The
+graded pieces' Koszul homology assembles its differentials as sparse
+rows and takes their ``rank_rows``.
 """
 
 import numpy as np

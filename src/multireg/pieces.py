@@ -16,9 +16,10 @@ it is never listed.
 The Koszul complex K(x) (x) M_{>=d} in degree b has one summand
 M_{b - deg x_S} per subset S of the variables whose source degree is
 >= d; ``GradedPieces._koszul_terms`` alone lists them.  A truncation's
-minimal generators are H_0, read beside the dense d_1
-(``minimal_generators``), and the region sweep reads H_1 from sparse
-rows of d_1 and d_2 (``koszul_h1_dim``).
+minimal generators are H_0: the standard-basis elements of a piece
+outside the image of the dense d_1 (``minimal_generators``).  The
+region sweep reads H_1 from sparse rows of d_1 and d_2
+(``koszul_h1_dim``).
 
 Multiplication matrices are assembled from sparse blocks, one per
 (monomial, source degree).  A product of a basis monomial that is
@@ -212,23 +213,21 @@ class GradedPieces:
             if deg_leq(lower_bound, c):
                 yield S, x, c
 
-    def minimal_generators(self, e, lower_bound, vectors):
-        """H_0 of K(x) (x) M_{>=d} in degree e, for d = lower_bound: the
-        positions j of the degree-e vectors of F0 whose image in M_e is
-        outside the span of d_1 and of the vectors before j.  They are
-        the ``rref`` pivots among the vectors' normal forms, placed
-        after one ``mult_matrix`` block per ``_koszul_terms`` summand."""
-        self.basis(e)
-        idx = self._index[e]
+    def minimal_generators(self, e, lower_bound):
+        """H_0 of K(x) (x) M_{>=d} in degree e, for d = lower_bound, as
+        elements of ``basis(e)``: the (component, monomial) pairs
+        outside the span of d_1 and of the pairs picked before them.
+        They are the ``rref`` pivots of an identity block on basis(e),
+        placed after one ``mult_matrix`` block per ``_koszul_terms``
+        summand, so they are a basis of a complement of
+        sum_v x_v M_{e-e_v} (over e - e_v >= d) in M_e."""
+        basis = self.basis(e)
         span = [self.mult_matrix(Poly.monomial(self.ring, x), c)
                 for _, x, c in self._koszul_terms(1, e, lower_bound)]
-        cand = np.zeros((len(idx), len(vectors)), dtype=np.int64)
-        for j, v in enumerate(vectors):
-            for k, m, c in vec_entries(normal_form(v, self.gb).terms):
-                cand[idx[(k, m)], j] = c
         ncols = sum(A.shape[1] for A in span)
-        _, pivots = modp.rref(np.hstack(span + [cand]), self.ring.p)
-        return [c - ncols for c in pivots if c >= ncols]
+        ident = np.eye(len(basis), dtype=np.int64)
+        _, pivots = modp.rref(np.hstack(span + [ident]), self.ring.p)
+        return [basis[c - ncols] for c in pivots if c >= ncols]
 
     def koszul_h1_dim(self, b, lower_bound):
         """dim_k Tor_1(M_{>=d}, k)_b for d = lower_bound: the number of

@@ -4,9 +4,12 @@ is componentwise at least a given multidegree.
 For a free module the truncation is generated by the monomials of the
 single degree max(twist, d) in each component (any monomial of larger
 degree is divisible by one of that exact degree when every block of
-variables is nonempty, which is the case here).  For a presented
-module the graded pieces pick minimal generators among those, and the
-relations are the preimage (groebner) of the old ones under inclusion.
+variables is nonempty, which is the case here); ``truncate_free``
+lists them.  A presented module's truncation takes its generators from
+the standard basis of M's graded pieces in those degrees, the basis
+elements outside the image of the lower pieces
+(``GradedPieces.minimal_generators``), and its relations are the
+preimage (groebner) of the old ones under inclusion.
 """
 
 from .groebner import preimage
@@ -43,37 +46,29 @@ def truncate_free(F, d):
     return G, MatrixOverS(G, F, cols, check=False)
 
 
-def _trim_generators(M, d, G, inc):
-    """Select a minimal generating subset of the truncation's monomial
-    generators, degree by degree: a candidate is kept exactly when it
-    adds rank over the one-variable shifts of already-available pieces.
-    """
-    pieces = GradedPieces.of(M)
-    by_degree = {}
-    for j, tw in enumerate(G.twists):
-        by_degree.setdefault(tw, []).append(j)
-    keep = []
-    for e, js in by_degree.items():
-        kept = pieces.minimal_generators(e, d, [inc.columns[j] for j in js])
-        keep.extend(js[i] for i in kept)
-    keep.sort()
-    twists = [G.twists[j] for j in keep]
-    cols = [inc.columns[j] for j in keep]
-    G2 = FreeModuleSpec(M.ring, twists)
-    return G2, MatrixOverS(G2, inc.target, cols, check=False)
-
-
 def truncate_module(M, d):
-    """Presentation of the truncation of M at d.
+    """Presentation of the truncation N = M_{>=d} of M at d: minimal
+    generators, and the preimage of M's relations as relations.  The
+    result has the same Hilbert function as M in degrees >= d and
+    vanishes elsewhere.
 
-    Generators are a minimal generating subset of the free-cover
-    generators of the truncation of F0 composed into M, which keeps
-    later resolutions small; relations are the preimage of M's
-    relations.  The result has the same Hilbert function as M in
-    degrees >= d and vanishes elsewhere.
+    Why the generators are minimal.  N is the image of (F0)_{>=d}, so
+    it is generated in the degrees e = max(tw_k, d) of F0's twists tw_k
+    (``truncate_free``), and since e >= d its piece there is all of
+    M_e.  By graded Nakayama a homogeneous set generates N minimally
+    exactly when, in each degree e, it is a basis of N_e modulo the
+    part generated in lower degrees, which is the sum of x_v M_{e-e_v}
+    over the variables x_v of degree e_v with e - e_v >= d (an element
+    of N of degree c < e times a monomial of degree e - c passes
+    through such a piece).  The elements of ``GradedPieces.basis(e)``
+    that ``minimal_generators`` picks are a basis of a complement of
+    that sum in M_e, so they are such a set.  Each is the class of a
+    monomial m e_k of F0, and the inclusion sends its generator, of
+    degree e, to m e_k.
     """
     d = checked_degree(d, M.ring.r)
-    G, inc = truncate_free(M.F0, d)
-    if G.rank:
-        G, inc = _trim_generators(M, d, G, inc)
-    return Presentation(G, preimage(inc, M.relations))
+    cols = [Vector.monomial(k, m)
+            for e in sorted({deg_max(tw, d) for tw in M.F0.twists})
+            for k, m in GradedPieces.of(M).minimal_generators(e, d)]
+    inc = MatrixOverS.from_columns(M.F0, cols)
+    return Presentation(inc.source, preimage(inc, M.relations))

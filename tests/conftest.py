@@ -14,14 +14,18 @@ from multireg import (
     Poly,
     Presentation,
     RingSpec,
+    betti,
+    free_resolution,
     ideal_matrix,
     irrelevant_ideal,
     modp,
     monomials_of_degree,
     poly_from_string,
     saturate,
+    structure_sheaf_local_cohomology,
 )
-from multireg.ringcore import checked_degree, deg_add, deg_sub, mono_mul
+from multireg.ringcore import (box_points, checked_degree, deg_add, deg_sub,
+                               mono_mul)
 
 
 @pytest.fixture(scope="session")
@@ -262,6 +266,45 @@ def full_rank_ext_dims(pieces, twists, entries, pdeg, max_index):
         r_prev = ranks[i - 1] if 0 < i <= len(ranks) else 0
         out[i] = d - r_i - r_prev
     return out
+
+
+def euler_violations(M, box, dims_at):
+    """The points a of the box where the local cohomology dimensions
+    dims_at(a) = [dim H^0_B(M)_a, dim H^1_B(M)_a, ...] break
+
+        sum_i (-1)^i dim H^i_B(M)_a
+            = sum over (j, b) of (-1)^j beta_{j,b}(M) chi_S(a - b),
+
+    with chi_S(e) = sum_i (-1)^i dim H^i_B(S)_e from the Kunneth closed
+    form.  Local cohomology turns a short exact sequence of graded
+    modules into a long exact one of finite-dimensional pieces, so the
+    alternating sum is additive along M's free resolution, and
+    H^i_B(S(-b))_a = H^i_B(S)_{a-b}.  A table that breaks the identity
+    is wrong; one that keeps it may still be wrong, so it never makes a
+    table certified."""
+    ring = M.ring
+    top = sum(ring.n) + 1
+
+    def chi(e):
+        return sum((-1) ** i * structure_sheaf_local_cohomology(ring, i, e)
+                   for i in range(top + 1))
+
+    table = betti(free_resolution(M)).data
+    bad = []
+    for a in box_points(box):
+        lhs = sum((-1) ** i * v for i, v in enumerate(dims_at(a)))
+        rhs = sum((-1) ** j * n * chi(deg_sub(a, b))
+                  for (j, b), n in table.items())
+        if lhs != rhs:
+            bad.append(a)
+    return bad
+
+
+def table_euler_violations(M, table):
+    """``euler_violations`` of an oracle table of M over its box."""
+    return euler_violations(
+        M, table.box,
+        lambda a: [table.dim(i, a) for i in range(table.max_index + 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from .conftest import (
     check_exactness,
     pp,
     random_saturated_quotient,
+    table_euler_violations,
 )
 
 
@@ -217,6 +218,43 @@ def test_criterion_7():
                                     max_hilbert=None)
     checked += _equivalence_for_ring(RingSpec((1, 2)), 12, seed=20240602,
                                      max_hilbert=45)
+    assert checked == 50
+
+
+def _criterion_7_draws(ring, count, seed, max_hilbert):
+    """The modules of ``_equivalence_for_ring`` and the box of their
+    tables, drawn from the same generator in the same order (each draw
+    is followed by the spot checks' sample)."""
+    rng = random.Random(seed)
+    dbox = list(itertools.product(range(4), repeat=ring.r))
+    corners = set()
+    for d in dbox:
+        corners.update(required_corners(ring, d))
+    lo = tuple(min(c[j] for c in corners) for j in range(ring.r))
+    hi = tuple(max(max(c[j] for c in corners), 3 + ring.n[j] + 1)
+               for j in range(ring.r))
+    drawn = 0
+    while drawn < count:
+        M = random_saturated_quotient(ring, rng, maxdeg=2,
+                                      max_hilbert=max_hilbert)
+        if M is None:
+            continue
+        rng.sample(dbox, 2)
+        yield M, (lo, hi)
+        drawn += 1
+
+
+def test_criterion_7_tables_keep_the_euler_identity():
+    """The oracle tables of criterion 7's 50 modules have, at every
+    point of their box, the Euler characteristic that the modules'
+    Betti numbers and the closed form for S give."""
+    draws = itertools.chain(
+        _criterion_7_draws(RingSpec((1, 1)), 38, 20240601, None),
+        _criterion_7_draws(RingSpec((1, 2)), 12, 20240602, 45))
+    checked = 0
+    for M, box in draws:
+        assert not table_euler_violations(M, local_cohomology_box(M, box))
+        checked += 1
     assert checked == 50
 
 

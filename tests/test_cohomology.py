@@ -35,8 +35,9 @@ from multireg.resolution import betti
 from multireg.ringcore import (FreeModuleSpec, box_points, count_monomials,
                                deg_add, deg_sub)
 
-from .conftest import (free_basis_of_degree, full_rank_ext_dims,
-                       reduced_form, saturated_corpus)
+from .conftest import (euler_violations, free_basis_of_degree,
+                       full_rank_ext_dims, reduced_form, saturated_corpus,
+                       table_euler_violations)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -197,6 +198,23 @@ def test_ext_tables_are_pinned(name):
     assert (table.t_used, table.data) == EXT_TABLES[name]
 
 
+def test_a_table_below_its_power_breaks_the_euler_identity():
+    """The Ext table of hyperelliptic_raw at t = 1 is not local
+    cohomology yet, and the Euler identity sees it at two or more
+    points of [-1,1]^2."""
+    M = parse_input((DATA / "hyperelliptic_raw.mr").read_text()).module()
+    ring = M.ring
+    pieces = GradedPieces.of(M)
+    twists, entries = _ext_entries(bracket_power_complex(ring, 1))
+    top = sum(ring.n) + 1
+
+    def dims_at(a):
+        dims = _ext_dims_at(pieces, twists, entries, a, top)
+        return [dims[i] for i in range(top + 1)]
+
+    assert len(euler_violations(M, ((-1, -1), (1, 1)), dims_at)) >= 2
+
+
 def _ext_modules(P11, P12):
     """The data files, seeded corpora on P1xP1 and P1xP2, and one
     module over p = 2^61 - 1."""
@@ -207,6 +225,20 @@ def _ext_modules(P11, P12):
     modules += saturated_corpus(RingSpec((1, 1), 2 ** 61 - 1), 1, 7,
                                 maxdeg=2)
     return modules
+
+
+def test_tables_keep_the_euler_identity(P11, P12):
+    """Every data file's table over [-1,1]^r, the box of
+    ``test_ext_tables_are_pinned``, and every ``_ext_modules`` table
+    over [-1,0]^r, certified and heuristic alike, has at every point the
+    Euler characteristic that the module's Betti numbers give."""
+    data = [parse_input(path.read_text()).module()
+            for path in sorted(DATA.glob("*.mr"))]
+    cases = [(M, 1) for M in data] + [(M, 0) for M in _ext_modules(P11, P12)]
+    for M, top in cases:
+        r = M.ring.r
+        table = local_cohomology_box(M, ((-1,) * r, (top,) * r))
+        assert not table_euler_violations(M, table), (M.ring.n, top)
 
 
 def test_ext_dims_match_full_ranks(P11, P12):

@@ -389,7 +389,7 @@ def test_schreyer_frames_are_pinned():
                 count += 1
     assert (count, digest.hexdigest()) == (
         1080,
-        "8d543432e9d94ae5e2a6aecbc8da85a5ee1c639a24b365380c70ee113d0dd5d7")
+        "ea5326017a6d2d522019ba4e785a4692ff4b8bfe2600c3730ecfc5fc41244b74")
 
 def _memo_bases():
     """(label, reduced Groebner basis) for the relations of every data

@@ -9,6 +9,7 @@ from multireg import (
     NotSaturatedError,
     Poly,
     Presentation,
+    RingSpec,
     betti,
     betti_bound_L,
     betti_bound_Q,
@@ -22,6 +23,7 @@ from multireg import (
     is_d_regular,
     local_cohomology_box,
     module_is_saturated_at_zero,
+    monomials_of_degree,
     multigraded_regularity,
     parse_input,
     region_subset,
@@ -336,6 +338,48 @@ def test_theorem_c_consistency(P22):
         R = truncation_region(M, "Q", ((0, 0), (4, 4)))
     assert R.minimal_generators == \
         ci_regularity([(1, 1), (1, 2)]).minimal_generators
+
+
+def _dense_form(ring, d, rng):
+    """A form of degree d with every monomial's coefficient drawn from
+    [1, p)."""
+    f = Poly.zero(ring)
+    for m in monomials_of_degree(ring, d):
+        f = f + Poly.monomial(ring, m, rng.randint(1, ring.p - 1))
+    return f
+
+
+def test_ci_corpus_agrees_with_the_truncation_search():
+    """The complete-intersection theorem on dense random forms: one form
+    of each degree in {1,2}^2 on P1xP1, P1xP2 and P2xP2, every pair of
+    those degrees on P1xP1, and the pairs on P2xP2 of degree sum at
+    most 5.  Where ``verify_ci_hypotheses`` holds, ``ci_regularity`` is
+    the region the truncation search finds over [0,5]^2, and the
+    Betti-number bound lies inside it.  Every P1xP1 pair fails the
+    hypotheses: it cuts out points, whose ideal is not B-saturated."""
+    degrees = list(itertools.product((1, 2), repeat=2))
+    pairs = list(itertools.combinations_with_replacement(degrees, 2))
+    draws = [(RingSpec(n), [d]) for n in ((1, 1), (1, 2), (2, 2))
+             for d in degrees]
+    draws += [(RingSpec((1, 1)), list(pair)) for pair in pairs]
+    draws += [(RingSpec((2, 2)), list(pair)) for pair in pairs
+              if sum(map(sum, pair)) <= 5]
+    rng = random.Random(1)
+    failed = []
+    for ring, degs in draws:
+        gens = [_dense_form(ring, d, rng) for d in degs]
+        if not verify_ci_hypotheses(gens):
+            failed.append((ring.n, degs))
+            continue
+        M = Presentation.quotient_by_ideal(ring, gens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoxBoundaryWarning)
+            R = multigraded_regularity(M, ((0, 0), (5, 5)))
+        assert R == ci_regularity(degs), (ring.n, degs)
+        assert region_subset(betti_bound_Q(betti(free_resolution(M))), R), \
+            (ring.n, degs)
+    assert (len(draws), len(failed)) == (25, 10)
+    assert all(n == (1, 1) and len(degs) == 2 for n, degs in failed)
 
 
 def test_ms_two_point_example(P111):

@@ -132,6 +132,19 @@ def test_truncation_leaves_linear_algebra_to_pieces():
                                             "kernel_projection"}
 
 
+def test_truncate_module_lists_no_cover_and_takes_no_normal_form():
+    """A truncation's generators are the elements of M's standard basis
+    that ``GradedPieces.minimal_generators`` picks, so
+    ``truncate_module`` neither lists the monomial cover of F0 nor
+    reduces candidates to normal form."""
+    fn = next(node for node in ast.walk(_tree(SRC / "truncation.py"))
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "truncate_module")
+    names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    assert not names & {"truncate_free", "monomials_of_degree",
+                        "normal_form"}
+
+
 def test_only_ringcore_twists_a_source_by_column_degrees():
     """A matrix's source twists are its columns' degrees, read by
     ``MatrixOverS.from_columns``: no other module calls ``.degree(``

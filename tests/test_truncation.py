@@ -1,5 +1,7 @@
 import gc
 import itertools
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -8,11 +10,13 @@ from multireg import (
     MatrixOverS,
     Poly,
     Presentation,
+    RingSpec,
     Vector,
     betti,
     free_resolution,
     hilbert_function,
     ideal_matrix,
+    parse_input,
     truncate_free,
     truncate_module,
     truncation_region,
@@ -21,9 +25,23 @@ from multireg import (
 from multireg import modp
 from multireg.pieces import _SHARED, GradedPieces
 from multireg.groebner import preimage
-from multireg.truncation import _trim_generators
+from multireg.ringcore import deg_max, mono_divides, vec_entries
 
-from .conftest import HYPERELLIPTIC_TRUNC_21_BETTI, graded_block, pp
+from .conftest import (HYPERELLIPTIC_TRUNC_21_BETTI, graded_block, pp,
+                       saturated_corpus)
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def _inclusion(M, d):
+    """``truncate_module``'s inclusion of M_{>=d} into M, rebuilt from
+    ``GradedPieces.minimal_generators``: one generator of degree e per
+    basis element picked in e, for e in the sorted set {max(tw_k, d)}."""
+    pieces = GradedPieces.of(M)
+    cols = [Vector.monomial(k, m)
+            for e in sorted({deg_max(tw, d) for tw in M.F0.twists})
+            for k, m in pieces.minimal_generators(e, d)]
+    return MatrixOverS.from_columns(M.F0, cols)
 
 
 def test_truncate_free_at_zero(P11):
@@ -81,15 +99,37 @@ def test_wrong_rank_degrees_rejected(not_linear_module):
         truncation_region(not_linear_module, "Q", ((0, 0, 0), (3, 3, 3)))
 
 
-def test_truncation_trim_agrees_with_untrimmed(not_linear_module):
-    """The trimmed truncation has the Betti table of the presentation
-    on the full monomial cover."""
-    M = not_linear_module
-    G, inc = truncate_free(M.F0, (1, 0))
-    a = Presentation(G, preimage(inc, M.relations))
-    b = truncate_module(M, (1, 0))
-    assert b.F0.rank < G.rank
-    assert betti(free_resolution(a)).data == betti(free_resolution(b)).data
+def test_truncation_trim_agrees_with_untrimmed():
+    """On every data file and criterion 7's P1xP1 corpus, truncated at
+    each d in [0,2]^r: the truncation has the Betti table of the
+    presentation on the full monomial cover; its generators are
+    standard monomials of M, each of degree max(tw_k, d) in its
+    component k, and those of degree e number beta_{0,e}."""
+    modules = [parse_input(path.read_text()).module()
+               for path in sorted(DATA.glob("*.mr"))]
+    modules += saturated_corpus(RingSpec((1, 1)), 38, 20240601, maxdeg=2)
+    count = 0
+    for M in modules:
+        gb = GradedPieces.of(M).gb
+        for d in itertools.product(range(3), repeat=M.ring.r):
+            T = truncate_module(M, d)
+            G, inc = truncate_free(M.F0, d)
+            full = Presentation(G, preimage(inc, M.relations))
+            table = betti(free_resolution(T)).data
+            assert table == betti(free_resolution(full)).data, d
+            mine = _inclusion(M, d)
+            assert mine.source == T.F0, d
+            assert preimage(mine, M.relations).columns == \
+                T.relations.columns, d
+            for col, e in zip(mine.columns, T.F0.twists):
+                (k, m, c), = vec_entries(col.terms)
+                assert (c, e) == (1, deg_max(M.F0.twists[k], d)), d
+                assert not any(mono_divides(lm, m)
+                               for lm in gb.lead_monomials(k)), d
+            assert Counter(T.F0.twists) == \
+                {b: n for (j, b), n in table.items() if j == 0}, d
+            count += 1
+    assert count == 405
 
 
 def test_trimming_ignores_the_sign_of_a_degree(P11):
@@ -191,8 +231,8 @@ def test_truncation_relations_are_preimage(not_linear_module):
     from multireg import buchberger, normal_form
     M = not_linear_module
     T = truncate_module(M, (1, 1))
-    G, inc = _trim_generators(M, (1, 1), *truncate_free(M.F0, (1, 1)))
-    assert G == T.F0
+    inc = _inclusion(M, (1, 1))
+    assert inc.source == T.F0
     gb = buchberger(M.relations)
     for col in T.relations.columns:
         image = inc.apply(col)
