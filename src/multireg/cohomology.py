@@ -225,7 +225,7 @@ def _ext_entries(complex_):
     twists = [spec.twists for spec in complex_.terms]
     entries = [[(l, k, Poly.monomial(ring, m, c))
                 for l, col in enumerate(diff.columns)
-                for k, m, c in vec_entries(col.terms)]
+                for k, m, c in vec_entries(col.terms, ring)]
                for diff in complex_.differentials]
     return twists, entries
 

@@ -568,7 +568,7 @@ def quotient_ring_dimension(ring, gens):
     gb = buchberger(ideal_matrix(ring, gens))
     supports = []
     for g in gb.elements:
-        (_, mono), _ = g.lead()
+        (_, mono), _ = g.lead(ring)
         supports.append(frozenset(i for i, e in enumerate(mono) if e))
     if not supports:
         return ring.nvars

@@ -179,7 +179,7 @@ class GradedPieces:
                 vals.append(1)
                 continue
             nf = normal_form(Vector.monomial(comp, prod), self.gb)
-            for k, mm, c in vec_entries(nf.terms):
+            for k, mm, c in vec_entries(nf.terms, self.ring):
                 rows.append(idx[(k, mm)])
                 cols.append(j)
                 vals.append(c)
@@ -281,7 +281,7 @@ class GradedPieces:
         bases: m's cached block, scaled by c."""
         if len(f.terms) != 1:
             raise ValueError("mult_matrix multiplies by one nonzero term")
-        (_, m, c), = vec_entries(f.terms)
+        (_, m, c), = vec_entries(f.terms, f.ring)
         rows, cols, vals, shape = self._block(m, tuple(d))
         A = np.zeros(shape, dtype=np.int64)
         A[rows, cols] = _scaled(vals, c, self.ring.p)

@@ -136,7 +136,7 @@ def _lowest_unit(cols):
     """(row, column, coefficient) of the unit entry with the smallest
     row, then the smallest column, or None."""
     return min(((k, l, c) for l, col in enumerate(cols) if col
-                for k, _, c in vec_constants(col)), default=None)
+                for k, c in vec_constants(col)), default=None)
 
 
 def minimalize(C):
@@ -169,7 +169,8 @@ def minimalize(C):
             pivot, A[l] = A[l], None
             minus_uinv = p - pow(u, -1, p)
             for c, col in enumerate(A):
-                for _, m, f in vec_entries(vec_renumber(col or (), {k: k})):
+                for _, m, f in vec_entries(vec_renumber(col or (), {k: k}),
+                                           C.ring):
                     A[c] = vec_add(A[c], vec_mono_mul(pivot, m,
                                                       f * minus_uinv, p), p)
             rows[k] = live[i + 1][l] = False

@@ -523,7 +523,7 @@ class Vector:
         """Build from a list of Poly entries (None for 0), one per
         component."""
         return cls.from_entries((k, m, c) for k, f in enumerate(polys) if f
-                                for _, m, c in vec_entries(f.terms))
+                                for _, m, c in vec_entries(f.terms, f.ring))
 
     def __bool__(self):
         return bool(self.terms)
@@ -534,8 +534,9 @@ class Vector:
     def __hash__(self):
         return hash(self.terms)
 
-    def lead(self):
-        """((component, monomial), coefficient) of the leading term."""
+    def lead(self, ring):
+        """((component, monomial), coefficient) of the leading term,
+        over the ring whose variables the monomial counts."""
         (tot, m, negc), c = self.terms[0]
         return (-negc, m), c
 
@@ -590,9 +591,9 @@ def vec_add(a, b, p):
     return tuple(out)
 
 
-def vec_entries(a):
-    """The (component, monomial, coefficient) entries of a term tuple,
-    in its order."""
+def vec_entries(a, ring):
+    """The (component, monomial, coefficient) entries of a term tuple
+    over ring, in its order."""
     return [(-negc, m, c) for (_, m, negc), c in a]
 
 
@@ -605,9 +606,11 @@ def vec_renumber(a, new_id):
 
 
 def vec_constants(a):
-    """The entries of a term tuple whose monomial is 1.  Their total
-    degree is 0, so they sort last and only the tail is read."""
-    return vec_entries(takewhile(lambda t: not t[0][0], reversed(a)))
+    """The (component, coefficient) pairs of the terms of a term tuple
+    whose monomial is 1.  Their total degree is 0, so they sort last
+    and only the tail is read."""
+    return [(-negc, c) for (_, _, negc), c in
+            takewhile(lambda t: not t[0][0], reversed(a))]
 
 
 def vec_scale(a, c, p):

@@ -25,7 +25,7 @@ from multireg import (
     structure_sheaf_local_cohomology,
 )
 from multireg.ringcore import (box_points, checked_degree, deg_add, deg_sub,
-                               mono_mul)
+                               mono_mul, vec_entries)
 
 
 @pytest.fixture(scope="session")
@@ -160,7 +160,8 @@ def random_saturated_quotient(ring, rng, ngens=None, maxdeg=2,
     I = saturate(ideal_matrix(ring, gens), irrelevant_ideal(ring))
     if I.source.rank == 0:
         return None
-    if any(not c.terms[0][0][0] for c in I.columns):
+    if any(not any(mono) for (_, mono), _ in
+           (c.lead(ring) for c in I.columns)):
         return None  # unit ideal
     M = Presentation(I.target, I)
     if max_hilbert is not None:
@@ -208,8 +209,8 @@ def graded_block(A, d):
     for l, col in enumerate(A.columns):
         for m in monomials_of_degree(ring, deg_sub(d, A.source.twists[l])):
             vec = np.zeros(len(rows), dtype=np.int64)
-            for (_, mm, negc), c in col.terms:
-                vec[index[(-negc, mono_mul(mm, m))]] = c
+            for k, mm, c in vec_entries(col.terms, ring):
+                vec[index[(k, mono_mul(mm, m))]] = c
             cols.append(vec)
     if not cols:
         return np.zeros((len(rows), 0), dtype=np.int64), rows

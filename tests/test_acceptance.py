@@ -6,6 +6,7 @@ violations over their stated sample sizes.
 """
 
 import contextlib
+import hashlib
 import itertools
 import random
 import warnings
@@ -43,6 +44,7 @@ from multireg import (
 )
 from multireg.cohomology import required_corners
 from multireg.regularity import BoxBoundaryWarning
+from multireg.ringcore import vec_entries
 
 from .conftest import (
     HYPERELLIPTIC_BETTI,
@@ -179,52 +181,10 @@ def test_criterion_6():
 # -------------------------------------------------------------------------
 # 7. equivalence of the truncation criterion and the definition check
 
-def _equivalence_for_ring(ring, count, seed, max_hilbert):
-    rng = random.Random(seed)
-    r = ring.r
-    dbox = list(itertools.product(range(4), repeat=r))
-    corners = set()
-    for d in dbox:
-        corners.update(required_corners(ring, d))
-    lo = tuple(min(c[j] for c in corners) for j in range(r))
-    hi = tuple(max(max(c[j] for c in corners), 3 + ring.n[j] + 1)
-               for j in range(r))
-    checked = 0
-    while checked < count:
-        M = random_saturated_quotient(ring, rng, maxdeg=2,
-                                      max_hilbert=max_hilbert)
-        if M is None:
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoxBoundaryWarning)
-            trunc_side = truncation_region(M, "Q", (dbox[0], dbox[-1]))
-        table = local_cohomology_box(M, (lo, hi))
-        for d in dbox:
-            assert trunc_side.contains(d) == check_regularity_by_definition(
-                M, d, table=table), (ring.n, d)
-        # a couple of direct point evaluations, bypassing the sweep's
-        # upward-closure pruning
-        for d in rng.sample(dbox, 2):
-            assert is_d_regular(M, d) == check_regularity_by_definition(
-                M, d, table=table), (ring.n, d)
-        checked += 1
-    return checked
-
-
-@_report(7, "truncation criterion == definition check on all 50 random "
-            "saturated modules")
-def test_criterion_7():
-    checked = _equivalence_for_ring(RingSpec((1, 1)), 38, seed=20240601,
-                                    max_hilbert=None)
-    checked += _equivalence_for_ring(RingSpec((1, 2)), 12, seed=20240602,
-                                     max_hilbert=45)
-    assert checked == 50
-
-
 def _criterion_7_draws(ring, count, seed, max_hilbert):
-    """The modules of ``_equivalence_for_ring`` and the box of their
-    tables, drawn from the same generator in the same order (each draw
-    is followed by the spot checks' sample)."""
+    """``count`` random saturated modules, each with the box of its
+    oracle table and two degrees for direct spot checks, in the order
+    one generator draws them."""
     rng = random.Random(seed)
     dbox = list(itertools.product(range(4), repeat=ring.r))
     corners = set()
@@ -239,23 +199,52 @@ def _criterion_7_draws(ring, count, seed, max_hilbert):
                                       max_hilbert=max_hilbert)
         if M is None:
             continue
-        rng.sample(dbox, 2)
-        yield M, (lo, hi)
+        yield M, (lo, hi), rng.sample(dbox, 2)
         drawn += 1
 
 
-def test_criterion_7_tables_keep_the_euler_identity():
-    """The oracle tables of criterion 7's 50 modules have, at every
-    point of their box, the Euler characteristic that the modules'
-    Betti numbers and the closed form for S give."""
-    draws = itertools.chain(
-        _criterion_7_draws(RingSpec((1, 1)), 38, 20240601, None),
-        _criterion_7_draws(RingSpec((1, 2)), 12, 20240602, 45))
+def _equivalence_for_ring(ring, count, seed, max_hilbert, digest):
+    """Checks criterion 7 on the draws of one ring, and the Euler
+    identity on each oracle table; each module's relations go into
+    ``digest`` through the entry view."""
+    dbox = list(itertools.product(range(4), repeat=ring.r))
     checked = 0
-    for M, box in draws:
-        assert not table_euler_violations(M, local_cohomology_box(M, box))
+    for M, box, spots in _criterion_7_draws(ring, count, seed, max_hilbert):
+        digest.update(repr((M.relations.source.twists,
+                            [vec_entries(c.terms, ring)
+                             for c in M.relations.columns])).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoxBoundaryWarning)
+            trunc_side = truncation_region(M, "Q", (dbox[0], dbox[-1]))
+        table = local_cohomology_box(M, box)
+        for d in dbox:
+            assert trunc_side.contains(d) == check_regularity_by_definition(
+                M, d, table=table), (ring.n, d)
+        # a couple of direct point evaluations, bypassing the sweep's
+        # upward-closure pruning
+        for d in spots:
+            assert is_d_regular(M, d) == check_regularity_by_definition(
+                M, d, table=table), (ring.n, d)
+        # the table has, at every point of its box, the Euler
+        # characteristic that M's Betti numbers and the closed form for
+        # S give
+        assert not table_euler_violations(M, table), ring.n
         checked += 1
+    return checked
+
+
+@_report(7, "truncation criterion == definition check on all 50 random "
+            "saturated modules")
+def test_criterion_7():
+    digest = hashlib.sha256()
+    checked = _equivalence_for_ring(RingSpec((1, 1)), 38, 20240601, None,
+                                    digest)
+    checked += _equivalence_for_ring(RingSpec((1, 2)), 12, 20240602, 45,
+                                     digest)
     assert checked == 50
+    # the corpus itself is pinned: the 50 modules' relations
+    assert digest.hexdigest() == (
+        "668a7c15af5ff6622cd39c1fc67d8e2530572add6c039e3503c217b5fbdc98ce")
 
 
 # -------------------------------------------------------------------------

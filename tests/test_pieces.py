@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from multireg import (FreeModuleSpec, MatrixOverS, Poly, Presentation,
-                      RingSpec, hilbert_function, monomials_of_degree,
+                      RingSpec, Vector, hilbert_function, monomials_of_degree,
                       parse_input, pieces, truncate_module)
 from multireg.groebner import _reduce_full
 from multireg.pieces import GradedPieces
-from multireg.ringcore import mono_divides, mono_mul, term_key
+from multireg.ringcore import mono_divides, mono_mul, vec_entries
 
 from .conftest import (dense_hilbert_function, free_basis_of_degree, pp,
                        saturated_corpus)
@@ -72,7 +72,7 @@ def test_basis_is_the_free_piece_less_the_lead_multiples():
             [pp(P11, "1"), Poly.zero(P11)],
             [pp(P11, "-3"), pp(P11, "5")],
             [Poly.zero(P11), pp(P11, "x0")]]))
-    assert GradedPieces(units).gb._leads[0][0][0] == (0, 0, 0, 0)
+    assert GradedPieces(units).gb.lead_monomials(0)[0] == (0, 0, 0, 0)
     modules = _data_modules() + [mixed, units]
     modules += saturated_corpus(P11, 20, 7)
     modules += saturated_corpus(P12, 8, 5)
@@ -132,10 +132,11 @@ def test_mult_matrix_is_linear_in_f(p):
                                            dtype=np.int64).reshape(A.shape))
             for j, (comp, mono) in enumerate(gp.basis(d)):
                 want = np.zeros(len(tgt), dtype=np.int64)
-                for (_, mm, negc), cc in _reduce_full(
-                        ((term_key(comp, mono_mul(mono, m)), 1),), elements,
-                        gp.gb._leads, p)[0]:
-                    want[tgt.index((-negc, mm))] = cc
+                rem, _ = _reduce_full(
+                    Vector.monomial(comp, mono_mul(mono, m)).terms, elements,
+                    gp.gb._leads, p)
+                for k, mm, cc in vec_entries(rem, ring):
+                    want[tgt.index((k, mm))] = cc
                 assert np.array_equal(A[:, j], want), (d, m, j)
         with pytest.raises(ValueError):
             gp.mult_matrix(_random_form(ring, rng, e), d)
@@ -166,8 +167,9 @@ def test_mult_matrix_blocks_are_cached_per_monomial(monkeypatch):
     x = Poly.variable(ring, 0) ** t
     A = gp.mult_matrix(x, d)
     tgt = gp.basis((t, 2))
+    (_, xm, _), = vec_entries(x.terms, ring)
     reducible = [(c, m) for c, m in gp.basis(d)
-                 if (c, mono_mul(m, x.terms[0][0][1])) not in tgt]
+                 if (c, mono_mul(m, xm)) not in tgt]
     assert 0 < len(reducible) < len(gp.basis(d))
     assert len(calls) == len(reducible)
     calls.clear()

@@ -344,15 +344,15 @@ def test_a_poly_is_the_component_zero_vector(P12):
             picked[(rng.randrange(4), m)] = rng.randrange(1, P12.p)
         want = sorted((k, m, c) for (k, m), c in picked.items())
         v = Vector.from_entries(rng.sample(want, len(want)))
-        assert sorted(vec_entries(v.terms)) == want
-        assert Vector.from_entries(vec_entries(v.terms)) == v
+        assert sorted(vec_entries(v.terms, P12)) == want
+        assert Vector.from_entries(vec_entries(v.terms, P12)) == v
         kept = sorted(rng.sample(range(4), rng.randint(0, 4)))
         moved = dict(zip(kept, sorted(rng.sample(range(6), len(kept)))))
         for new_id in (moved, {k: k for k in kept}):
             terms = vec_renumber(v.terms, new_id)
             keys = [key for key, _ in terms]
             assert all(a > b for a, b in zip(keys, keys[1:])), new_id
-            assert sorted(vec_entries(terms)) == sorted(
+            assert sorted(vec_entries(terms, P12)) == sorted(
                 (new_id[k], m, c) for k, m, c in want if k in new_id)
         assert sorted(vec_constants(v.terms)) == [
-            e for e in want if not any(e[1])]
+            (k, c) for k, m, c in want if not any(m)]

@@ -5,6 +5,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "multireg"
+TESTS = ROOT / "tests"
 
 
 def _tree(path):
@@ -220,22 +221,24 @@ def test_cli_keeps_no_input_rules():
 
 
 def test_only_ringcore_and_groebner_read_term_keys():
-    """A term of a module element is ``((total degree, monomial,
-    -component), c)``, and only ringcore and groebner build or read
-    that key: every other module works with the (component, monomial,
-    coefficient) entries of ringcore's view, so the key can change
-    behind those two modules.  The marks of a key handled by hand are a
-    ``term_key`` import, a ``_canonical`` keyword, a target that
-    unpacks a key, ``((_, m, negc), c)``, and a chain of constant
-    indexes on a term, such as ``t[0][2]``."""
+    """Only ringcore and groebner build or read a term's key: every
+    other module, and every test but those of the two modules
+    themselves, works with the (component, monomial, coefficient)
+    entries of ringcore's view, so the key can change behind those two
+    modules.  The marks of a key handled by hand are a ``term_key``
+    import, a ``_canonical`` keyword, a target that unpacks a key,
+    ``((_, m, negc), c)``, and a chain of constant indexes on a term,
+    such as ``t[0][2]``."""
     def constant_index(node):
         return (isinstance(node, ast.Subscript)
                 and isinstance(node.slice, ast.Constant)
                 and type(node.slice.value) is int)
 
     found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name in ("ringcore.py", "groebner.py"):
+    own = ("ringcore.py", "groebner.py", "test_ringcore.py",
+           "test_groebner.py")
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path.name in own:
             continue
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.alias):

@@ -122,7 +122,7 @@ def test_truncation_trim_agrees_with_untrimmed():
             assert preimage(mine, M.relations).columns == \
                 T.relations.columns, d
             for col, e in zip(mine.columns, T.F0.twists):
-                (k, m, c), = vec_entries(col.terms)
+                (k, m, c), = vec_entries(col.terms, M.ring)
                 assert (c, e) == (1, deg_max(M.F0.twists[k], d)), d
                 assert not any(mono_divides(lm, m)
                                for lm in gb.lead_monomials(k)), d
