@@ -21,6 +21,13 @@ the syzygies of the treated pairs still generate the module.
 
 S-pairs only exist between elements whose lead terms share a free
 module component, which keeps pair counts low for high-rank modules.
+
+The division loops work on ringcore's packed term keys, one int per
+term (its module docstring has the layout): a term times a monomial
+is an add, a divisibility test a subtract and a mask, a quotient a
+subtract.  Leads, lcms and quotients stay packed inside this module;
+exponent tuples leave it only through ``lead_monomials`` and
+ringcore's entry view.
 """
 
 import heapq
@@ -28,21 +35,18 @@ from itertools import combinations
 
 from .errors import InhomogeneousError, RingMismatchError
 from .ringcore import (
+    _COMPONENT,
+    _MONOMIAL,
     FreeModuleSpec,
     MatrixOverS,
     Poly,
     Presentation,
     Vector,
+    _mul_terms,
     deg_add,
     deg_sub,
     deg_total,
-    mono_div,
-    mono_mul,
-    mono_divides,
-    mono_lcm,
-    term_key,
     vec_add,
-    vec_mono_mul,
     vec_renumber,
     vec_scale,
 )
@@ -79,8 +83,9 @@ class GroebnerBasis:
 
     def lead_monomials(self, comp):
         """The lead monomials of the elements whose lead lies in
-        component comp, in element order."""
-        return [lm for lm, _ in self._leads.get(comp, ())]
+        component comp, as exponent tuples, in element order."""
+        mono = self.ambient.ring._packing.monomial
+        return [mono(lk) for lk, _ in self._leads.get(_COMPONENT - comp, ())]
 
     def as_matrix(self):
         return MatrixOverS.from_columns(self.ambient, self.elements)
@@ -95,48 +100,54 @@ def _check_homogeneous_columns(columns, spec):
 
 
 def _lead_index(level):
-    """{component: [(lead monomial, index)]} of a list of term tuples,
+    """{component field: [(lead key, index)]} of a list of term tuples,
     each list in index order: the ``leads`` of _reduce_full."""
     leads = {}
     for i, terms in enumerate(level):
-        (_, mono, negc), _ = terms[0]
-        leads.setdefault(-negc, []).append((mono, i))
+        key = terms[0][0]
+        leads.setdefault(key & _COMPONENT, []).append((key, i))
     return leads
 
 
-def _find_divisor(leads, comp, mono):
-    for lm, idx in leads.get(comp, ()):
-        if mono_divides(lm, mono):
-            return idx, lm
+def _find_divisor(leads, key, guards):
+    """(index, lead key) of the first lead that divides the term key,
+    or (None, None).  The test is _Packing.divides, inlined: this is
+    the innermost loop of every division."""
+    for lk, idx in leads.get(key & _COMPONENT, ()):
+        if ((key | guards) - lk) & guards == guards:
+            return idx, lk
     return None, None
 
 
-def _reduce_full(terms, basis_terms, leads, p):
+def _reduce_full(terms, basis_terms, leads, ring):
     """Full reduction of a term tuple against monic basis elements:
     the one division loop of the module.
 
     Returns (remainder, quotients).  No term of the remainder is
     divisible by a lead, and ``terms`` is the remainder plus the sum
     of c * m * basis_terms[idx] over the (idx, m, c) in ``quotients``,
-    one triple per division step, largest term first.  ``leads`` maps
-    a component to the (lead monomial, index) pairs of the basis
-    elements whose lead lies in it.  The term order is whatever the
-    keys encode: the standard one for Buchberger, the induced order
-    of a syzygy level in the lifted coordinates of schreyer_frame.
+    one triple per division step, largest term first, with m a packed
+    monomial.  ``leads`` maps a component field to the (lead key,
+    index) pairs of the basis elements whose lead lies in it.  The
+    term order is whatever the keys encode: the standard one for
+    Buchberger, the induced order of a syzygy level in the lifted
+    coordinates of schreyer_frame.
     """
+    p = ring.p
+    guards, limit = ring._packing.guards, ring._packing.limit
     rem = []
     quotients = []
     work = terms
     while work:
         key0, c0 = work[0]
-        comp, mono = -key0[2], key0[1]
-        idx, lm = _find_divisor(leads, comp, mono)
+        idx, lk = _find_divisor(leads, key0, guards)
         if idx is None:
             rem.append(work[0])
             work = work[1:]
             continue
-        m = mono_div(mono, lm)
-        work = vec_add(work, vec_mono_mul(basis_terms[idx], m, p - c0, p), p)
+        m = key0 - lk
+        work = vec_add(work, _mul_terms(basis_terms[idx], m, p - c0, p,
+                                        limit), p)
         quotients.append((idx, m, c0))
     return tuple(rem), quotients
 
@@ -168,11 +179,13 @@ class _Engine:
         expression in the generators, and a reduction to zero records
         that expression as a syzygy."""
         p = self.p
-        terms, quotients = _reduce_full(terms, self.vecs, self.leads, p)
+        packing = self.ring._packing
+        terms, quotients = _reduce_full(terms, self.vecs, self.leads,
+                                        self.ring)
         if self.reps is not None:
             for idx, m, c in quotients:
-                rep = vec_add(rep, vec_mono_mul(self.reps[idx], m, p - c, p),
-                              p)
+                rep = vec_add(rep, _mul_terms(self.reps[idx], m, p - c, p,
+                                              packing.limit), p)
         if not terms:
             if rep:
                 self.syzygies.append(Vector(rep, _canonical=True))
@@ -183,15 +196,15 @@ class _Engine:
         self.vecs.append(terms)
         if self.reps is not None:
             self.reps.append(vec_scale(rep, inv, p))
-        key0 = terms[0][0]
-        comp, mono = -key0[2], key0[1]
+        key = terms[0][0]
+        twist = self.target.twists[_COMPONENT - (key & _COMPONENT)]
         # each pair is pushed once, when its later element is installed
-        for lm, i in self.leads.get(comp, ()):
-            lcm = mono_lcm(lm, mono)
-            d = deg_add(self.ring.monomial_degree(lcm),
-                        self.target.twists[comp])
+        for lk, i in self.leads.get(key & _COMPONENT, ()):
+            lcm = packing.lcm(lk, key)
+            d = deg_add(self.ring.monomial_degree(packing.monomial(lcm)),
+                        twist)
             heapq.heappush(self.pairs, (deg_total(d), d, i, idx, lcm))
-        self.leads.setdefault(comp, []).append((mono, idx))
+        self.leads.setdefault(key & _COMPONENT, []).append((key, idx))
 
     def run(self, columns, reps=None):
         """Install the generators, then treat S-pairs by increasing
@@ -202,27 +215,30 @@ class _Engine:
         for k, v in enumerate(columns):
             self._install(v.terms, None if reps is None else reps[k])
         p = self.p
+        packing = self.ring._packing
+        limit, divides, lcm_of = packing.limit, packing.divides, packing.lcm
         while self.pairs:
             _, _, i, j, lcm = heapq.heappop(self.pairs)
             ti, tj = self.vecs[i], self.vecs[j]
-            mi, mj = ti[0][0][1], tj[0][0][1]
+            ki, kj = ti[0][0], tj[0][0]
             # chain criterion: the lcms of (i, k) and (k, j) properly
             # divide this one, so neither skip can depend on this pair
-            if any(k != i and k != j and mono_divides(mk, lcm)
-                   and mono_lcm(mk, mi) != lcm and mono_lcm(mk, mj) != lcm
-                   for mk, k in self.leads[-ti[0][0][2]]):
+            if any(k != i and k != j and divides(kk, lcm)
+                   and lcm_of(kk, ki) != lcm and lcm_of(kk, kj) != lcm
+                   for kk, k in self.leads[lcm & _COMPONENT]):
                 continue
-            qi, qj = mono_div(lcm, mi), mono_div(lcm, mj)
-            s = vec_add(vec_mono_mul(ti, qi, 1, p),
-                        vec_mono_mul(tj, qj, p - 1, p), p)
+            qi, qj = lcm - ki, lcm - kj
+            s = vec_add(_mul_terms(ti, qi, 1, p, limit),
+                        _mul_terms(tj, qj, p - 1, p, limit), p)
             rep = None
             if self.reps is not None:
-                rep = vec_add(vec_mono_mul(self.reps[i], qi, 1, p),
-                              vec_mono_mul(self.reps[j], qj, p - 1, p), p)
+                rep = vec_add(_mul_terms(self.reps[i], qi, 1, p, limit),
+                              _mul_terms(self.reps[j], qj, p - 1, p, limit),
+                              p)
             self._install(s, rep)
 
 
-def _interreduce(vecs, p):
+def _interreduce(vecs, ring):
     """Turn a Groebner basis into the reduced one: minimal lead set,
     fully reduced tails, monic, sorted by increasing lead.  Tails are
     reduced against the whole kept set: an element's own lead never
@@ -230,14 +246,14 @@ def _interreduce(vecs, p):
     smaller."""
     kept = []
     leads = {}
+    guards = ring._packing.guards
     for terms in sorted(vecs, key=lambda t: t[0][0]):
-        key0 = terms[0][0]
-        comp, mono = -key0[2], key0[1]
-        if _find_divisor(leads, comp, mono)[0] is not None:
+        key = terms[0][0]
+        if _find_divisor(leads, key, guards)[0] is not None:
             continue
-        leads.setdefault(comp, []).append((mono, len(kept)))
+        leads.setdefault(key & _COMPONENT, []).append((key, len(kept)))
         kept.append(terms)
-    return [Vector(t[:1] + _reduce_full(t[1:], kept, leads, p)[0],
+    return [Vector(t[:1] + _reduce_full(t[1:], kept, leads, ring)[0],
                    _canonical=True) for t in kept]
 
 
@@ -253,7 +269,7 @@ def buchberger(gens):
         raise InhomogeneousError(f"buchberger: {exc}") from exc
     eng = _Engine(ambient)
     eng.run(gens.columns)
-    return GroebnerBasis(ambient, _interreduce(eng.vecs, ambient.ring.p))
+    return GroebnerBasis(ambient, _interreduce(eng.vecs, ambient.ring))
 
 
 def _combine(pairs, memo, p):
@@ -289,7 +305,8 @@ def _term_normal_form(G, key):
     got = memo.get(key)
     if got is not None:
         return got
-    p = G.ambient.ring.p
+    ring = G.ambient.ring
+    p, guards, limit = ring.p, ring._packing.guards, ring._packing.limit
     tails = {}
     stack = [key]
     while stack:
@@ -303,13 +320,12 @@ def _term_normal_form(G, key):
             memo[k] = _combine(tail, memo, p)
             stack.pop()
             continue
-        idx, lm = _find_divisor(G._leads, -k[2], k[1])
+        idx, lk = _find_divisor(G._leads, k, guards)
         if idx is None:
             memo[k] = ((k, 1),)
             stack.pop()
             continue
-        tail = vec_mono_mul(G.elements[idx].terms[1:], mono_div(k[1], lm),
-                            p - 1, p)
+        tail = _mul_terms(G.elements[idx].terms[1:], k - lk, p - 1, p, limit)
         tails[k] = tail
         stack.extend(t for t, _ in tail if t not in memo)
     return memo[key]
@@ -399,8 +415,8 @@ def schreyer_frame(relations):
     -i_k).  Let rank(i) be i's position when its level is sorted by
     (rank of i's lead component, i), the target's components ranking
     as themselves; by induction this sorts by (b, i_1, ..., i_k).  So
-    the induced order on the terms m*e_i is the order of
-    term_key(rank(i), L_i*m), and m*e_i divides m'*e_j exactly when
+    the induced order on the terms m*e_i is the order of the keys of
+    L_i*m in component rank(i), and m*e_i divides m'*e_j exactly when
     the lifted terms do.  Level one lives in the target, whose lifts
     are trivial, so the Groebner basis is used as it is; each later
     level is lifted once, when it is built.
@@ -420,6 +436,8 @@ def schreyer_frame(relations):
     """
     ring = relations.ring
     p = ring.p
+    packing = ring._packing
+    limit = packing.limit
     gb = buchberger(relations)
     if not gb.elements:
         return []
@@ -430,41 +448,45 @@ def schreyer_frame(relations):
         src = mats[-1].source
         leads = _lead_index(level)
         pairs = []
+        # the quotients lcm/lead are packed monomials, whose ints sort
+        # by total degree and then by exponent tuple
         for lst in leads.values():
             for a, (lu, u) in enumerate(lst):
                 for lv, v in lst[a + 1:]:
-                    lcm = mono_lcm(lu, lv)
-                    pairs.append((u, v, mono_div(lcm, lu), mono_div(lcm, lv)))
-        pairs.sort(key=lambda t: (sum(t[2]), t[2], t[0], t[1]))
+                    lcm = packing.lcm(lu, lv)
+                    pairs.append((u, v, lcm - lu, lcm - lv))
+        pairs.sort(key=lambda t: (t[2], t[0], t[1]))
         kept = []
         for u, v, mu, mv in pairs:
-            if not any(w == u and mono_divides(m, mu) for w, _, m, _ in kept):
+            if not any(w == u and packing.divides(m, mu)
+                       for w, _, m, _ in kept):
                 kept.append((u, v, mu, mv))
         if not kept:
             break
-        lifts = [terms[0][0][1] for terms in level]
+        lifts = [terms[0][0] & _MONOMIAL for terms in level]
         rank = {i: r for r, i in enumerate(sorted(
-            range(len(level)), key=lambda i: (-level[i][0][0][2], i)))}
+            range(len(level)),
+            key=lambda i: (_COMPONENT - (level[i][0][0] & _COMPONENT), i)))}
         degs = []
         cols = []
         new_level = []
         for u, v, mu, mv in kept:
             # the two monic leads cancel
-            s = vec_add(vec_mono_mul(level[u][1:], mu, 1, p),
-                        vec_mono_mul(level[v][1:], mv, p - 1, p), p)
-            rem, quotients = _reduce_full(s, level, leads, p)
+            s = vec_add(_mul_terms(level[u][1:], mu, 1, p, limit),
+                        _mul_terms(level[v][1:], mv, p - 1, p, limit), p)
+            rem, quotients = _reduce_full(s, level, leads, ring)
             if rem:
                 raise ValueError("element does not reduce to zero")
             syz = [(u, mu, 1), (v, mv, p - 1)]
             syz += [(idx, m, p - c) for idx, m, c in quotients]
-            degs.append(deg_add(ring.monomial_degree(mu), src.twists[u]))
-            cols.append(Vector.from_entries(syz))
+            degs.append(deg_add(ring.monomial_degree(packing.monomial(mu)),
+                                src.twists[u]))
+            cols.append(Vector([(m + _COMPONENT - i, c) for i, m, c in syz]))
             # already in decreasing lifted order: the lead, the other
             # lcm term (same lifted monomial, larger rank), then the
             # quotients, whose lifted leads decrease in the level below
             new_level.append(tuple(
-                (term_key(rank[i], mono_mul(lifts[i], m)), c)
-                for i, m, c in syz))
+                (lifts[i] + m + _COMPONENT - rank[i], c) for i, m, c in syz))
         mats.append(MatrixOverS(FreeModuleSpec(ring, degs), src, cols,
                                 check=False))
         level = new_level

@@ -16,7 +16,9 @@ Variables are x0.., y0.., z0.., w0.. for up to four factors, or
 v{i}_{j} in general.  Polynomials use +, -, *, ^ and integer
 coefficients; '#' starts a comment.  Errors carry line and column.
 A power of a polynomial with two or more terms is expanded only when
-it takes at most MAX_POWER_PRODUCTS coefficient products.
+it takes at most MAX_POWER_PRODUCTS coefficient products.  A term holds
+exponents and total degrees below 2^31, so a power or product that
+reaches 2^31 is an error at its exponent or its '*'.
 """
 
 import re
@@ -143,8 +145,13 @@ def _parse_poly(tokens, ring):
 def _parse_term(tokens, ring):
     f = _parse_factor(tokens, ring)
     while tokens.peek() == "*":
-        tokens.next()
-        f = f * _parse_factor(tokens, ring)
+        _, line, col = tokens.next()
+        g = _parse_factor(tokens, ring)
+        try:
+            f = f * g
+        except ValueError as exc:
+            # a product of total degree 2^31 or more, which no term holds
+            raise ParseError(str(exc), line, col) from None
     return f
 
 
@@ -180,13 +187,17 @@ def _parse_factor(tokens, ring):
         e = _parse_int(tokens)
         if e < 0:
             tokens.error("negative exponent")
+        _, line, col = tokens.items[tokens.k - 1]
         if len(f.terms) > 1 and \
                 _power_products(len(f.terms), e) > MAX_POWER_PRODUCTS:
-            _, line, col = tokens.items[tokens.k - 1]
             raise ParseError(
                 f"this power of a {len(f.terms)}-term polynomial takes over "
                 f"{MAX_POWER_PRODUCTS:,} coefficient products", line, col)
-        f = f ** e
+        try:
+            f = f ** e
+        except ValueError as exc:
+            # a power of total degree 2^31 or more, which no term holds
+            raise ParseError(str(exc), line, col) from None
     return f
 
 

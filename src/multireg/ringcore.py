@@ -14,21 +14,41 @@ modules (`Vector`) and matrices between them (`MatrixOverS`) keep their
 terms sorted by the global term order used throughout, with leading
 term first.  Polynomials (`Poly`) are the elements of S, the free
 module of rank one, and use the same single term format: a term is
-``((total degree, monomial, -component), coefficient)``, component 0
-for a polynomial, and comparing keys as tuples is the term order.
-
-That key is private to this module and to ``groebner``, whose division
-loops read it directly.  Every other module builds and reads module
-elements as ``(component, monomial, coefficient)`` entries:
-``Vector.monomial`` and ``Vector.from_entries`` build them, and
-``vec_entries``, ``vec_renumber`` and ``vec_constants`` read and
-re-index term tuples without unpacking a key.
+``(key, coefficient)``, component 0 for a polynomial, and comparing
+keys as ints is the term order.
 
 The term order compares exponent tuples by total degree and then
 lexicographically (block 1 variables dominate); ties between free
-module components go to the lower component index.
+module components go to the lower component index.  A key packs that
+order into one Python int (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+From the most significant field down it holds:
+
+- the monomial's total degree, in a top field of no fixed width;
+- one ``_FIELD``-bit field per variable, variable 0 highest;
+- a ``_FIELD``-bit component field holding ``_COMPONENT - component``.
+
+The top bit of each variable field is a guard bit.  Exponents and
+total degrees stay below ``_DEGREE_LIMIT`` = 2^31, so no monomial sets
+a guard bit and no exponent carries into the next field: encoding an
+exponent tuple refuses one with an entry or total degree of 2^31 or
+more, and a product whose lead term (the one of largest total degree)
+would reach 2^31 raises.  A term times a monomial is then one add,
+"lead divides m" is ``((m | guards) - lead) & guards == guards``, and a
+quotient is a subtract.
+
+That key is private to this module and to ``groebner``, whose division
+loops work on it directly.  Every other module builds and reads module
+elements as ``(component, monomial, coefficient)`` entries, with
+monomials as exponent tuples: ``Vector.monomial`` and
+``Vector.from_entries`` encode them, and ``vec_entries``,
+``vec_renumber`` and ``vec_constants`` read and re-index term tuples
+without unpacking a key.  Decoding a key needs the number of
+variables, so ``vec_entries`` and ``Vector.lead`` take the ring, whose
+packing memoizes the monomials it has decoded.
 """
 
+import struct
 from itertools import product as _iterproduct, takewhile
 from math import prod
 from operator import index
@@ -180,7 +200,7 @@ class RingSpec:
     """
 
     __slots__ = ("r", "n", "p", "nvars", "var_factor", "_block_start",
-                 "_names", "_index")
+                 "_names", "_index", "_packing")
 
     def __init__(self, n, p=DEFAULT_PRIME):
         n = checked_dims(n)
@@ -206,6 +226,7 @@ class RingSpec:
                             else canonical)
         self._index = {name: v for names in (canonical, alias)
                        for v, name in enumerate(names)}
+        self._packing = _Packing(self.nvars)
 
     def __eq__(self, other):
         return (isinstance(other, RingSpec)
@@ -244,6 +265,105 @@ class RingSpec:
                 m[v] += 1
             gens.append(tuple(m))
         return gens
+
+
+# ---------------------------------------------------------------------------
+# term keys: one int per term (the layout is in the module docstring)
+
+_FIELD = 32
+_COMPONENT = (1 << _FIELD) - 1
+_MONOMIAL = ~_COMPONENT           # the bits of a key above its component
+_DEGREE_LIMIT = 1 << (_FIELD - 1)
+
+
+def _too_large(what):
+    return ValueError(f"{what} has an exponent or total degree of "
+                      f"2^{_FIELD - 1} or more, which a term cannot hold")
+
+
+def _pack(m):
+    """The key of the exponent tuple m in component _COMPONENT, whose
+    field is 0: the packed monomial, which multiplies a key by an
+    add."""
+    x = t = 0
+    for e in m:
+        x = (x << _FIELD) | e
+        t += e
+    if t >= _DEGREE_LIMIT or min(m) < 0:
+        raise _too_large(f"exponent tuple {m}")
+    return ((t << (_FIELD * len(m))) | x) << _FIELD
+
+
+def term_key(comp, mono):
+    """The key of the term mono * e_comp: the total degree above one
+    guarded _FIELD-bit field per exponent, above the component field
+    _COMPONENT - comp.  Raises ValueError when an exponent or the total
+    degree is 2^31 or more, which would set a guard bit."""
+    return _pack(mono) | (_COMPONENT - comp)
+
+
+def _mul_terms(a, q, c, p, limit):
+    """c * q * a for a packed monomial q: one add per term, which
+    preserves the term order.  The lead has the largest total degree,
+    so it alone is checked against ``limit``."""
+    c %= p
+    if not c or not a:
+        return ()
+    if a[0][0] + q >= limit:
+        raise _too_large("a product")
+    return tuple([(k + q, cc * c % p) for k, cc in a])
+
+
+class _Packing:
+    """The key layout for one number of variables: its guard bits,
+    the least key of total degree 2^31, and a memo of the monomials it
+    has decoded."""
+
+    __slots__ = ("nvars", "shift", "guards", "limit", "_ones", "_unpack",
+                 "_monos")
+
+    def __init__(self, nvars):
+        self.nvars = nvars
+        self.shift = _FIELD * (nvars + 1)   # of the total degree field
+        self._ones = sum(1 << (_FIELD * i) for i in range(nvars))
+        self.guards = self._ones << (2 * _FIELD - 1)
+        self.limit = _DEGREE_LIMIT << self.shift
+        # one unsigned 32-bit int ("I") per _FIELD-bit field
+        self._unpack = struct.Struct(f">{nvars}I").unpack
+        self._monos = {}
+
+    def monomial(self, key):
+        """The exponent tuple of a key's monomial."""
+        x = key >> _FIELD
+        got = self._monos.get(x)
+        if got is None:
+            n = self.nvars
+            got = self._monos[x] = self._unpack(
+                (x & ((1 << (_FIELD * n)) - 1)).to_bytes(_FIELD // 8 * n,
+                                                         "big"))
+        return got
+
+    def divides(self, a, b):
+        """Whether the monomial of key a divides that of key b, for
+        keys of one component: a guard bit of (b | guards) - a is
+        borrowed exactly where a's exponent exceeds b's."""
+        return ((b | self.guards) - a) & self.guards == self.guards
+
+    def lcm(self, a, b):
+        """The lcm of two keys of one component, as a key of that
+        component.  The guard bits mark the fields where a's exponent
+        is at least b's; the total degree is the sum of the fields,
+        which one multiplication by a 1 in each field leaves in the
+        top one."""
+        g = self.guards
+        take = ((((a | g) - b) & g) >> (_FIELD - 1)) * _COMPONENT
+        low = (a & take) | (b & ~take & ((1 << self.shift) - 1))
+        tot = ((low >> _FIELD) * self._ones >> (_FIELD * (self.nvars - 1))
+               ) & _COMPONENT
+        key = (tot << self.shift) | low
+        if key >= self.limit:
+            raise _too_large("an lcm")
+        return key
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +422,8 @@ def count_monomials(ring, d):
 
 class Poly:
     """Element of S, the free module of rank one: its terms are the
-    `Vector` terms of component 0, ``((total degree, monomial, 0), c)``,
-    sorted with leading term first, with coefficients in [1, p).  The
+    `Vector` terms of component 0, ``(key, c)``, sorted with leading
+    term first, with coefficients in [1, p).  The
     constructor takes terms already in that form; the classmethods and
     the arithmetic build them."""
 
@@ -378,14 +498,21 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_ring(other)
+        if not (self.terms and other.terms):
+            return Poly.zero(self.ring)
+        # a component-0 key is its packed monomial plus _COMPONENT
+        if (self.terms[0][0] + other.terms[0][0] - _COMPONENT
+                >= self.ring._packing.limit):
+            raise _too_large("a product")
         acc = {}
-        for (_, m1, _), c1 in self.terms:
-            for (_, m2, _), c2 in other.terms:
-                m = mono_mul(m1, m2)
-                acc[m] = acc.get(m, 0) + c1 * c2
+        for k1, c1 in self.terms:
+            m1 = k1 - _COMPONENT
+            for k2, c2 in other.terms:
+                k = m1 + k2
+                acc[k] = acc.get(k, 0) + c1 * c2
         p = self.ring.p
         # keys are distinct, so sorting the terms sorts their keys
-        terms = [(term_key(0, m), c % p) for m, c in acc.items() if c % p]
+        terms = [(k, c % p) for k, c in acc.items() if c % p]
         terms.sort(reverse=True)
         return Poly(self.ring, tuple(terms))
 
@@ -426,7 +553,8 @@ def poly_to_string(f):
     ring = f.ring
     half = ring.p // 2
     parts = []
-    for (_, m, _), c in f.terms:
+    for k, c in f.terms:
+        m = ring._packing.monomial(k)
         if c > half:
             sign, mag = "-", ring.p - c
         else:
@@ -479,13 +607,8 @@ class FreeModuleSpec:
         return f"FreeModuleSpec({list(self.twists)})"
 
 
-# Vector terms are ((total_exponent, monomial, -component), coeff),
-# kept sorted descending, so terms[0] is the leading term and merging
-# two vectors is a linear-time walk.
-
-def term_key(comp, mono):
-    return (sum(mono), mono, -comp)
-
+# Vector terms are (key, coeff), kept sorted descending, so terms[0] is
+# the leading term and merging two vectors is a linear-time walk.
 
 class Vector:
     """Element of a free module, as an ordered term list.  Terms not
@@ -522,8 +645,9 @@ class Vector:
     def from_components(cls, polys):
         """Build from a list of Poly entries (None for 0), one per
         component."""
-        return cls.from_entries((k, m, c) for k, f in enumerate(polys) if f
-                                for _, m, c in vec_entries(f.terms, f.ring))
+        # a polynomial's keys are those of component 0
+        return cls([(key - k, c) for k, f in enumerate(polys) if f
+                    for key, c in f.terms])
 
     def __bool__(self):
         return bool(self.terms)
@@ -537,8 +661,9 @@ class Vector:
     def lead(self, ring):
         """((component, monomial), coefficient) of the leading term,
         over the ring whose variables the monomial counts."""
-        (tot, m, negc), c = self.terms[0]
-        return (-negc, m), c
+        key, c = self.terms[0]
+        return (_COMPONENT - (key & _COMPONENT),
+                ring._packing.monomial(key)), c
 
     def component_poly(self, ring, comp):
         return Poly(ring, vec_renumber(self.terms, {comp: 0}))
@@ -547,9 +672,11 @@ class Vector:
         """Common multidegree when homogeneous in the given free
         module; None for zero; raises otherwise."""
         ring = spec.ring
+        mono = ring._packing.monomial
         d = None
-        for (tot, m, negc), _ in self.terms:
-            dd = deg_add(ring.monomial_degree(m), spec.twists[-negc])
+        for key, _ in self.terms:
+            dd = deg_add(ring.monomial_degree(mono(key)),
+                         spec.twists[_COMPONENT - (key & _COMPONENT)])
             if d is None:
                 d = dd
             elif dd != d:
@@ -558,7 +685,9 @@ class Vector:
         return d
 
     def __repr__(self):
-        items = [f"e{-negc}*({m},{c})" for (tot, m, negc), c in self.terms]
+        # decoding a monomial needs the ring: show it packed
+        items = [f"e{_COMPONENT - (k & _COMPONENT)}*({k >> _FIELD:#x},{c})"
+                 for k, c in self.terms]
         return "Vector[" + ", ".join(items) + "]"
 
 
@@ -594,23 +723,28 @@ def vec_add(a, b, p):
 def vec_entries(a, ring):
     """The (component, monomial, coefficient) entries of a term tuple
     over ring, in its order."""
-    return [(-negc, m, c) for (_, m, negc), c in a]
+    mono = ring._packing.monomial
+    return [(_COMPONENT - (k & _COMPONENT), mono(k), c) for k, c in a]
 
 
 def vec_renumber(a, new_id):
     """The terms of a in the components that the dict new_id maps,
     each moved to component new_id[k].  The map must keep the order of
     those components, so the terms stay sorted."""
-    return tuple(((tot, m, -new_id[-negc]), c)
-                 for (tot, m, negc), c in a if -negc in new_id)
+    out = []
+    for k, c in a:
+        comp = _COMPONENT - (k & _COMPONENT)
+        if comp in new_id:
+            out.append(((k | _COMPONENT) - new_id[comp], c))
+    return tuple(out)
 
 
 def vec_constants(a):
     """The (component, coefficient) pairs of the terms of a term tuple
-    whose monomial is 1.  Their total degree is 0, so they sort last
-    and only the tail is read."""
-    return [(-negc, c) for (_, _, negc), c in
-            takewhile(lambda t: not t[0][0], reversed(a))]
+    whose monomial is 1.  Such a key is its component field alone, so
+    they sort last and only the tail is read."""
+    return [(_COMPONENT - k, c) for k, c in
+            takewhile(lambda t: t[0] <= _COMPONENT, reversed(a))]
 
 
 def vec_scale(a, c, p):
@@ -621,16 +755,10 @@ def vec_scale(a, c, p):
 
 
 def vec_mono_mul(a, mono, c, p):
-    """c * mono * a; multiplying every term by one monomial preserves
-    the term order."""
-    c %= p
-    if not c:
-        return ()
-    mt = sum(mono)
-    out = []
-    for (tot, m, negc), cc in a:
-        out.append(((tot + mt, mono_mul(m, mono), negc), (cc * c) % p))
-    return tuple(out)
+    """c * mono * a for an exponent tuple mono; multiplying every term
+    by one monomial preserves the term order."""
+    return _mul_terms(a, _pack(mono), c, p,
+                      _DEGREE_LIMIT << (_FIELD * (len(mono) + 1)))
 
 
 def _column_degree(col, target, l):
@@ -715,11 +843,13 @@ class MatrixOverS:
         """Image of a source vector: substitute columns for the source
         basis elements."""
         p = self.ring.p
+        limit = self.ring._packing.limit
         acc = ()
-        for (tot, m, negc), c in v.terms:
-            col = self.columns[-negc]
+        for k, c in v.terms:
+            col = self.columns[_COMPONENT - (k & _COMPONENT)]
             if col:
-                acc = vec_add(acc, vec_mono_mul(col.terms, m, c, p), p)
+                acc = vec_add(acc, _mul_terms(col.terms, k & _MONOMIAL, c,
+                                              p, limit), p)
         return Vector(acc, _canonical=True)
 
     def compose(self, other):

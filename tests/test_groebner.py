@@ -423,11 +423,12 @@ def test_memoized_normal_form_matches_full_reduction():
     vectors, members (whose terms' normal forms cancel) included."""
     rng = random.Random(7)
     for label, G in _memo_bases():
-        p = G.ambient.ring.p
+        ring = G.ambient.ring
+        p = ring.p
         elements = [g.terms for g in G.elements]
 
         def full(terms):
-            return groebner._reduce_full(terms, elements, G._leads, p)[0]
+            return groebner._reduce_full(terms, elements, G._leads, ring)[0]
 
         for d in _memo_degrees(G):
             keys = [term_key(c, m)
@@ -456,9 +457,9 @@ def test_normal_form_memo_walks_each_term_once(P12, monkeypatch):
     searches = []
     find = groebner._find_divisor
 
-    def counting(leads, comp, mono):
-        searches.append(mono)
-        return find(leads, comp, mono)
+    def counting(leads, key, guards):
+        searches.append(key)
+        return find(leads, key, guards)
 
     monkeypatch.setattr(groebner, "_find_divisor", counting)
     f = pp(P12, "x0^5*y2^6 + 3*x0^4*x1*y1^6 - x1^5*y0^3*y2^3")

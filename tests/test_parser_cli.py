@@ -432,6 +432,24 @@ def test_cli_costly_power_is_a_parse_error(tmp_path, capsys, P11):
     assert len(poly_from_string(P11, "x0^100000000*y1").terms) == 1
 
 
+@pytest.mark.parametrize("ideal, at", [
+    ("x0^2147483648*y0", "col 10"),
+    ("x0^2147483647*x0", "col 20"),
+], ids=["power", "product"])
+def test_cli_degree_a_term_cannot_hold_is_a_parse_error(tmp_path, capsys,
+                                                        P11, ideal, at):
+    """A term holds exponents and total degrees below 2^31: a power or
+    product that reaches it is refused at its exponent or its '*', not
+    wrapped into the next variable."""
+    job = tmp_path / "degree.mr"
+    job.write_text(f"ring p=32003 n=[1,1]\nideal {ideal}\n")
+    code, out, err = _run(["betti", str(job)], capsys)
+    assert code == 2
+    assert err.startswith(f"error: line 2, {at}: ") and err.count("\n") == 1
+    assert "2^31 or more" in err
+    assert len(poly_from_string(P11, "x0^2147483647").terms) == 1
+
+
 @pytest.mark.parametrize("ideal", [
     "(" * 300 + "x0" + ")" * 300,
     "-" * 600 + "x0",

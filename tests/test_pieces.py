@@ -47,9 +47,9 @@ def _data_modules():
 def _filtered_free_piece(gp, d):
     """The degree-d basis by its definition: the free piece, less the
     monomials that a lead of their component divides."""
-    leads = gp.gb._leads
     return [(k, m) for k, m in free_basis_of_degree(gp.F0, d)
-            if not any(mono_divides(lm, m) for lm, _ in leads.get(k, ()))]
+            if not any(mono_divides(lm, m)
+                       for lm in gp.gb.lead_monomials(k))]
 
 
 def test_basis_is_the_free_piece_less_the_lead_multiples():
@@ -134,7 +134,7 @@ def test_mult_matrix_is_linear_in_f(p):
                 want = np.zeros(len(tgt), dtype=np.int64)
                 rem, _ = _reduce_full(
                     Vector.monomial(comp, mono_mul(mono, m)).terms, elements,
-                    gp.gb._leads, p)
+                    gp.gb._leads, ring)
                 for k, mm, cc in vec_entries(rem, ring):
                     want[tgt.index((k, mm))] = cc
                 assert np.array_equal(A[:, j], want), (d, m, j)

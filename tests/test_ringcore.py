@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from multireg import (
@@ -15,11 +17,19 @@ from multireg import (
     monomials_of_degree,
     normal_form,
 )
+from multireg.groebner import _find_divisor
 from multireg.ringcore import (
+    _COMPONENT,
+    _pack,
     count_monomials,
+    deg_add,
+    deg_leq,
+    deg_max,
+    deg_sub,
     term_key,
     vec_constants,
     vec_entries,
+    vec_mono_mul,
     vec_renumber,
 )
 
@@ -311,7 +321,8 @@ def _assert_canonical(f):
     keys = [k for k, _ in f.terms]
     assert all(a > b for a, b in zip(keys, keys[1:])), f
     assert all(1 <= c < f.ring.p for _, c in f.terms), f
-    assert all(k == term_key(0, k[1]) for k in keys), f
+    assert keys == [term_key(0, m) for _, m, _ in vec_entries(f.terms,
+                                                              f.ring)], f
 
 
 def test_a_poly_is_the_component_zero_vector(P12):
@@ -356,3 +367,81 @@ def test_a_poly_is_the_component_zero_vector(P12):
                 (new_id[k], m, c) for k, m, c in want if k in new_id)
         assert sorted(vec_constants(v.terms)) == [
             (k, c) for k, m, c in want if not any(m)]
+
+
+TOP = 2 ** 31 - 1
+
+
+def _draw_terms(ring, rng, count):
+    """Distinct (component, monomial) pairs: components 0-40, exponents
+    0-40, and now and then a monomial at an extreme, 1 or a power
+    x_v^(2^31 - 1), the largest a term can hold."""
+    out = set()
+    while len(out) < count:
+        roll = rng.random()
+        if roll < 0.1:
+            m = (0,) * ring.nvars
+        elif roll < 0.2:
+            top = rng.randrange(ring.nvars)
+            m = tuple(TOP if v == top else 0 for v in range(ring.nvars))
+        else:
+            m = tuple(rng.randint(0, 40) for _ in range(ring.nvars))
+        out.add((rng.randint(0, 40), m))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("n", [(1, 1), (1, 2), (2, 2), (1, 1, 1)],
+                         ids=["P1xP1", "P1xP2", "P2xP2", "P1xP1xP1"])
+def test_packed_keys_match_the_tuple_operations(n):
+    """The packed term key orders terms as (total degree, monomial,
+    -component) does, and its divisibility test, quotient, lcm and
+    product agree with deg_leq, deg_sub, deg_max and deg_add on the
+    exponent tuples; an lcm or product of total degree 2^31 or more is
+    refused.  Encoding then decoding is the identity."""
+    ring = RingSpec(n)
+    packing = ring._packing
+    rng = random.Random(29)
+    terms = _draw_terms(ring, rng, 300)
+    keys = {t: term_key(*t) for t in terms}
+    assert sorted(terms, key=keys.get) == sorted(
+        terms, key=lambda t: (sum(t[1]), t[1], -t[0]))
+    for (ca, ma), (cb, mb) in (rng.sample(terms, 2) for _ in range(3000)):
+        a, b = keys[(ca, ma)], term_key(ca, mb)
+        assert packing.divides(a, b) == deg_leq(ma, mb), (ma, mb)
+        assert (_find_divisor({a & _COMPONENT: [(a, 7)]}, b, packing.guards)
+                == ((7, a) if deg_leq(ma, mb) else (None, None)))
+        if deg_leq(ma, mb):
+            assert b - a == _pack(deg_sub(mb, ma))
+            assert packing.monomial(b - a) == deg_sub(mb, ma)
+        for want, got in [(deg_max(ma, mb), lambda: packing.lcm(a, b)),
+                          (deg_add(ma, mb), lambda: vec_mono_mul(
+                              ((a, 1),), mb, 1, ring.p)[0][0])]:
+            if sum(want) > TOP:
+                with pytest.raises(ValueError, match="2\\^31 or more"):
+                    got()
+            else:
+                assert got() == term_key(ca, want), (ma, mb)
+    entries = [(c, m, rng.randint(1, ring.p - 1)) for c, m in terms]
+    v = Vector.from_entries(rng.sample(entries, len(entries)))
+    assert [k for k, _ in v.terms] == sorted(keys.values(), reverse=True)
+    assert sorted(vec_entries(v.terms, ring)) == entries
+    assert Vector.from_entries(vec_entries(v.terms, ring)) == v
+
+
+@pytest.mark.parametrize("m", [(2 ** 31, 0, 0, 0), (TOP, 1, 0, 0),
+                               (0, 0, 2 ** 40, 0)],
+                         ids=["exponent", "total", "wide-exponent"])
+def test_exponents_a_term_cannot_hold_are_refused(P11, m):
+    """An exponent or total degree of 2^31 or more is refused where it
+    is encoded, never wrapped into the next field, and so is a product
+    whose lead would reach it."""
+    with pytest.raises(ValueError, match="2\\^31 or more"):
+        Poly.monomial(P11, m)
+    with pytest.raises(ValueError, match="2\\^31 or more"):
+        Vector.monomial(1, m)
+    top = Poly.monomial(P11, (TOP, 0, 0, 0))
+    assert vec_entries(top.terms, P11) == [(0, (TOP, 0, 0, 0), 1)]
+    with pytest.raises(ValueError, match="2\\^31 or more"):
+        top * Poly.variable(P11, 2)
+    with pytest.raises(ValueError, match="2\\^31 or more"):
+        Poly.variable(P11, 0) ** (2 ** 31)
