@@ -37,12 +37,12 @@ from .errors import InhomogeneousError, RingMismatchError
 from .ringcore import (
     _COMPONENT,
     _MONOMIAL,
+    _mul_terms,
     FreeModuleSpec,
     MatrixOverS,
     Poly,
     Presentation,
     Vector,
-    _mul_terms,
     deg_add,
     deg_sub,
     deg_total,

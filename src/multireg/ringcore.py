@@ -423,9 +423,9 @@ def count_monomials(ring, d):
 class Poly:
     """Element of S, the free module of rank one: its terms are the
     `Vector` terms of component 0, ``(key, c)``, sorted with leading
-    term first, with coefficients in [1, p).  The
-    constructor takes terms already in that form; the classmethods and
-    the arithmetic build them."""
+    term first, with coefficients in [1, p).  The constructor takes
+    terms already in that form; the classmethods and the arithmetic
+    build them."""
 
     __slots__ = ("ring", "terms")
 
