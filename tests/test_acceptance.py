@@ -6,6 +6,7 @@ violations over their stated sample sizes.
 """
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import random
@@ -59,8 +60,6 @@ from .conftest import (
 
 def _report(number, description):
     def deco(fn):
-        import functools
-
         @functools.wraps(fn)
         def wrapped(*args, **kw):
             try:
@@ -203,20 +202,36 @@ def _criterion_7_draws(ring, count, seed, max_hilbert):
         drawn += 1
 
 
-def _equivalence_for_ring(ring, count, seed, max_hilbert, digest):
-    """Checks criterion 7 on the draws of one ring, and the Euler
-    identity on each oracle table; each module's relations go into
-    ``digest`` through the entry view."""
-    dbox = list(itertools.product(range(4), repeat=ring.r))
-    checked = 0
-    for M, box, spots in _criterion_7_draws(ring, count, seed, max_hilbert):
+@functools.lru_cache(maxsize=None)
+def _criterion_7_corpus():
+    """Criterion 7's 50 modules, 38 over P1 x P1 and 12 over P1 x P2,
+    each with its oracle table and two degrees for direct spot checks.
+    Built once and shared by the criterion and its Euler-identity test;
+    the tables are only read."""
+    corpus = []
+    for ring, count, seed, max_hilbert in (
+            (RingSpec((1, 1)), 38, 20240601, None),
+            (RingSpec((1, 2)), 12, 20240602, 45)):
+        for M, box, spots in _criterion_7_draws(ring, count, seed,
+                                                max_hilbert):
+            corpus.append((M, local_cohomology_box(M, box), spots))
+    return tuple(corpus)
+
+
+@_report(7, "truncation criterion == definition check on all 50 random "
+            "saturated modules")
+def test_criterion_7():
+    corpus = _criterion_7_corpus()
+    digest = hashlib.sha256()
+    for M, table, spots in corpus:
+        ring = M.ring
+        dbox = list(itertools.product(range(4), repeat=ring.r))
         digest.update(repr((M.relations.source.twists,
                             [vec_entries(c.terms, ring)
                              for c in M.relations.columns])).encode())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoxBoundaryWarning)
             trunc_side = truncation_region(M, "Q", (dbox[0], dbox[-1]))
-        table = local_cohomology_box(M, box)
         for d in dbox:
             assert trunc_side.contains(d) == check_regularity_by_definition(
                 M, d, table=table), (ring.n, d)
@@ -225,26 +240,20 @@ def _equivalence_for_ring(ring, count, seed, max_hilbert, digest):
         for d in spots:
             assert is_d_regular(M, d) == check_regularity_by_definition(
                 M, d, table=table), (ring.n, d)
-        # the table has, at every point of its box, the Euler
-        # characteristic that M's Betti numbers and the closed form for
-        # S give
-        assert not table_euler_violations(M, table), ring.n
-        checked += 1
-    return checked
-
-
-@_report(7, "truncation criterion == definition check on all 50 random "
-            "saturated modules")
-def test_criterion_7():
-    digest = hashlib.sha256()
-    checked = _equivalence_for_ring(RingSpec((1, 1)), 38, 20240601, None,
-                                    digest)
-    checked += _equivalence_for_ring(RingSpec((1, 2)), 12, 20240602, 45,
-                                     digest)
-    assert checked == 50
+    assert len(corpus) == 50
     # the corpus itself is pinned: the 50 modules' relations
     assert digest.hexdigest() == (
         "668a7c15af5ff6622cd39c1fc67d8e2530572add6c039e3503c217b5fbdc98ce")
+
+
+def test_criterion_7_tables_keep_the_euler_identity():
+    """The oracle tables of criterion 7's 50 modules have, at every
+    point of their box, the Euler characteristic that the modules'
+    Betti numbers and the closed form for S give."""
+    corpus = _criterion_7_corpus()
+    for M, table, _ in corpus:
+        assert not table_euler_violations(M, table), M.ring.n
+    assert len(corpus) == 50
 
 
 # -------------------------------------------------------------------------
