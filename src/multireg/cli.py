@@ -103,7 +103,7 @@ def _render_region(args, region, warnings_seen=()):
         gens = ", ".join(map(str, payload["minimal_generators"]))
         lines = [f"minimal generators: {gens or '(empty region)'}"]
         if region.rank == 2 and not region.is_empty():
-            lines.append(staircase_text(region))
+            lines.append(_argument("--format text", staircase_text, region))
         return "\n".join(lines + [f"warning: {m}"
                                   for m in payload.get("warnings", ())])
     _emit(args, payload, render)

@@ -4,8 +4,9 @@ syzygies, colon, saturation and intersection.
 
 The engine is Buchberger's algorithm with the normal selection
 strategy (pairs of lowest total degree first).  All inputs are
-homogeneous, so processing pairs by degree keeps intermediate elements
-small and makes runs reproducible.  When syzygies are requested, every
+homogeneous, an invariant MatrixOverS checks where a matrix is built,
+so processing pairs by degree keeps intermediate elements small and
+makes runs reproducible.  When syzygies are requested, every
 working element carries its representation in terms of the original
 generators; each reduction to zero then hands us one homogeneous
 syzygy, and together these generate the full syzygy module.
@@ -33,7 +34,7 @@ ringcore's entry view.
 import heapq
 from itertools import combinations
 
-from .errors import InhomogeneousError, RingMismatchError
+from .errors import RingMismatchError
 from .ringcore import (
     _COMPONENT,
     _MONOMIAL,
@@ -92,11 +93,6 @@ class GroebnerBasis:
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.elements)} elements)"
-
-
-def _check_homogeneous_columns(columns, spec):
-    for v in columns:
-        v.degree(spec)
 
 
 def _lead_index(level):
@@ -260,13 +256,11 @@ def _interreduce(vecs, ring):
 def buchberger(gens):
     """Reduced Groebner basis of the submodule of ``gens.target``
     generated by the columns of the MatrixOverS ``gens``.  Output is
-    deterministic for a fixed column order.
+    deterministic for a fixed column order.  The columns are
+    homogeneous because ``gens`` is a MatrixOverS, which checks them
+    where it is built; they are not read again here.
     """
     ambient = gens.target
-    try:
-        _check_homogeneous_columns(gens.columns, ambient)
-    except InhomogeneousError as exc:
-        raise InhomogeneousError(f"buchberger: {exc}") from exc
     eng = _Engine(ambient)
     eng.run(gens.columns)
     return GroebnerBasis(ambient, _interreduce(eng.vecs, ambient.ring))
@@ -360,9 +354,9 @@ def kernel_projection(M, rank):
 
     Only those generators are tracked: representation arithmetic is
     linear, so the tracked expressions are exactly the projections of
-    the full ones.
+    the full ones.  M's columns are homogeneous by the MatrixOverS
+    invariant, so each syzygy is homogeneous too.
     """
-    _check_homogeneous_columns(M.columns, M.target)
     eng = _Engine(M.target)
     eng.run(M.columns, [(Vector.unit(M.ring, j).terms if j < rank else ())
                         for j in range(len(M.columns))])

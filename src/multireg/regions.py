@@ -17,9 +17,10 @@ Intersections of unions of orthants are again unions of orthants
 """
 
 from itertools import accumulate
-from math import inf
+from math import comb, inf
 
-from .ringcore import _compositions, deg_leq, deg_max, deg_total
+from .ringcore import (_check_listing, _compositions, deg_leq, deg_max,
+                       deg_total)
 
 
 def _minimalize(points):
@@ -94,16 +95,19 @@ def region_L(i, d):
     with socle degree d: minimal elements are d - lam for |lam| = i.
 
     Membership of b is equivalent to sum_j max(d_j - b_j, 0) <= i.
+    The C(i + r - 1, r - 1) generators are counted, and a list too
+    large to hold refused, before any is listed.
     """
     if i < 0:
         raise ValueError("level must be nonnegative")
     d = tuple(d)
     if not d:
         raise ValueError("degree has no coordinates")
-    gens = []
-    for lam in _compositions(i, len(d)):
-        gens.append(tuple(dj - lj for dj, lj in zip(d, lam)))
-    return Region(len(d), gens)
+    count = comb(i + len(d) - 1, len(d) - 1)
+    _check_listing(count * len(d), f"region_L({i}, {list(d)}), with "
+                   f"{count:,} minimal generators,")
+    return Region(len(d), [tuple(dj - lj for dj, lj in zip(d, lam))
+                           for lam in _compositions(i, len(d))])
 
 
 def region_Q(i, d):
@@ -164,13 +168,17 @@ def _plot_cells(region):
     three above them, the generator set, and the lowest member row of
     each column.  (x, y) lies in the region exactly when
     y >= min{g_1 : g_0 <= x}, so one running minimum over the columns
-    answers every cell in constant time."""
+    answers every cell in constant time.  A box too large to draw is
+    refused."""
     if region.rank != 2:
         raise ValueError("staircase plots need a rank-2 region; this one "
                          f"has rank {region.rank}")
     gens = region.minimal_generators
     lo = tuple(min((g[j] for g in gens), default=0) - 1 for j in range(2))
     hi = tuple(max((g[j] for g in gens), default=0) + 3 for j in range(2))
+    _check_listing((hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1),
+                   "a staircase plot of this region (--format json prints "
+                   "its generators without one)")
     # an antichain has at most one generator per first coordinate
     first = dict(gens)
     xs = range(lo[0], hi[0] + 1)

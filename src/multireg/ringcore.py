@@ -92,7 +92,16 @@ def is_prime(m):
 # RingSpec.irrelevant_generators lists Pi(n_i + 1) exponent tuples of
 # nvars entries each; n = [20000] would need 4 * 10^8 entries, gigabytes
 # of tuples, before any answer.  n = [3000] (9 * 10^6) stays accepted.
-_MAX_IRRELEVANT_ENTRIES = 10 ** 7
+_MAX_LISTED_ENTRIES = 10 ** 7
+
+
+def _check_listing(entries, what):
+    """Refuse to build ``what``, a list of ``entries`` integers, when
+    that is more than _MAX_LISTED_ENTRIES: the one budget for the
+    irrelevant ideal, region_L's generators and a staircase plot."""
+    if entries > _MAX_LISTED_ENTRIES:
+        raise ValueError(f"{what} would hold {entries:,} entries, more "
+                         f"than {_MAX_LISTED_ENTRIES:,}")
 
 
 def checked_dims(n):
@@ -102,11 +111,9 @@ def checked_dims(n):
     if not n or min(n) < 1:
         raise ValueError("factor dimensions must be one or more numbers "
                          f">= 1, got {list(n)}")
-    entries = prod(ni + 1 for ni in n) * (len(n) + sum(n))
-    if entries > _MAX_IRRELEVANT_ENTRIES:
-        raise ValueError(f"factor dimensions {list(n)} are too large: the "
-                         f"irrelevant ideal would need {entries} exponent "
-                         f"entries, more than {_MAX_IRRELEVANT_ENTRIES}")
+    _check_listing(prod(ni + 1 for ni in n) * (len(n) + sum(n)),
+                   f"factor dimensions {list(n)} are too large: the "
+                   "irrelevant ideal")
     return n
 
 
@@ -775,7 +782,12 @@ class MatrixOverS:
 
     Column l is an element of the target of degree source.twists[l],
     equivalently entry (k, l) is homogeneous of degree
-    source.twists[l] - target.twists[k] (or zero).
+    source.twists[l] - target.twists[k] (or zero).  This is checked
+    once, where a matrix is built: by the constructor, or by
+    ``from_columns``, which reads the twists off the columns.
+    ``check=False`` is for builders whose columns are homogeneous of
+    the source twists by construction.  The Groebner engine relies on
+    the invariant and does not check its input columns again.
     """
 
     __slots__ = ("source", "target", "columns")
@@ -877,8 +889,7 @@ class Presentation:
         self.ring = F0.ring
         self.F0 = F0
         if relations is None:
-            src = FreeModuleSpec(F0.ring, ())
-            relations = MatrixOverS(src, F0, (), check=False)
+            relations = MatrixOverS(FreeModuleSpec(F0.ring, ()), F0, ())
         if relations.target != F0:
             raise ValueError("relations must map into F0")
         self.relations = relations

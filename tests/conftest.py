@@ -10,6 +10,7 @@ import pytest
 
 from multireg import (
     FreeModuleSpec,
+    InhomogeneousError,
     MatrixOverS,
     Poly,
     Presentation,
@@ -298,6 +299,19 @@ def euler_violations(M, box, dims_at):
                   for (j, b), n in table.items())
         if lhs != rhs:
             bad.append(a)
+    return bad
+
+
+def homogeneity_violations(matrices):
+    """The messages with which the checked MatrixOverS constructor
+    refuses to rebuild any of ``matrices``: the invariant that the
+    Groebner engine relies on without reading its input again."""
+    bad = []
+    for m in matrices:
+        try:
+            MatrixOverS(m.source, m.target, m.columns)
+        except InhomogeneousError as exc:
+            bad.append(f"{m!r}: {exc}")
     return bad
 
 

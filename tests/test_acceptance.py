@@ -44,6 +44,7 @@ from multireg import (
     verify_ci_hypotheses,
 )
 from multireg.cohomology import required_corners
+from multireg.groebner import schreyer_frame
 from multireg.regularity import BoxBoundaryWarning
 from multireg.ringcore import vec_entries
 
@@ -52,6 +53,7 @@ from .conftest import (
     HYPERELLIPTIC_TRUNC_21_BETTI,
     SB_P12_BETTI,
     check_exactness,
+    homogeneity_violations,
     pp,
     random_saturated_quotient,
     table_euler_violations,
@@ -336,9 +338,11 @@ def test_criterion_9(P12, P111):
 # 10. infrastructure invariants over a random corpus
 
 @_report(10, "exactness, Euler characteristic, truncation Hilbert "
-             "identity, normal-form idempotence: zero violations")
+             "identity, normal-form idempotence, library matrices "
+             "homogeneous: zero violations")
 def test_criterion_10(P11, P12):
     rng = random.Random(4242)
+    built = []
     for ring in (P11, P12):
         count = 6 if ring.r == 2 and ring.nvars == 4 else 4
         made = 0
@@ -355,6 +359,8 @@ def test_criterion_10(P11, P12):
             # truncation Hilbert identity
             td = tuple(rng.randint(0, 2) for _ in range(ring.r))
             T = truncate_module(M, td)
+            built += (schreyer_frame(M.relations) + res.differentials
+                      + [T.relations])
             for e in box:
                 want = hilbert_function(M, e) if all(
                     x >= y for x, y in zip(e, td)) else 0
@@ -366,3 +372,6 @@ def test_criterion_10(P11, P12):
                     f = Poly.monomial(ring, m, rng.randint(1, ring.p - 1))
                     r1 = normal_form(f, G)
                     assert normal_form(r1, G) == r1
+    # the invariant the Groebner engine relies on, on every frame,
+    # minimal resolution and truncation presentation above
+    assert homogeneity_violations(built) == []

@@ -22,21 +22,24 @@ from multireg import (
     ideal_matrix,
     intersect_submodules,
     irrelevant_ideal,
+    koszul_complex,
     monomials_of_degree,
     normal_form,
     parse_input,
     saturate,
     submodules_equal,
     syzygies,
+    truncate_free,
     truncate_module,
 )
-from multireg import groebner, modp
+from multireg import groebner, modp, pieces
+from multireg.cohomology import bracket_power_complex
 from multireg.groebner import schreyer_frame
 from multireg.ringcore import term_key, vec_add, vec_entries, vec_scale
 
 from .conftest import (dense_hilbert_function, free_basis_of_degree,
-                       graded_block, pp, random_homogeneous_gen,
-                       saturated_corpus)
+                       graded_block, homogeneity_violations, pp,
+                       random_homogeneous_gen, saturated_corpus)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -66,6 +69,56 @@ def test_spair_produces_cube(P11):
 def test_buchberger_rejects_inhomogeneous(P11):
     with pytest.raises(InhomogeneousError):
         buchberger(ideal_matrix(P11, [pp(P11, "x0 + x0*x1")]))
+
+
+def test_library_matrices_are_homogeneous(monkeypatch):
+    """Homogeneity is checked once, where a matrix is built; the
+    Groebner engine reads no input column's degree.  So every matrix
+    the library builds, through the checked constructor or by a
+    builder that passes check=False, and every matrix it hands to
+    ``buchberger`` or ``kernel_projection`` must pass the checked
+    constructor when rebuilt.  Covered: the parser and the frames,
+    minimal resolutions, truncations and free truncations of each data
+    file, colon, saturation, intersection, syzygies, Koszul and
+    bracket-power complexes, composition and the identity."""
+    given = []
+
+    def recording(fn):
+        def wrapped(M, *rest):
+            given.append(M)
+            return fn(M, *rest)
+        return wrapped
+
+    monkeypatch.setattr(groebner, "buchberger",
+                        recording(groebner.buchberger))
+    monkeypatch.setattr(pieces, "buchberger", recording(pieces.buchberger))
+    monkeypatch.setattr(groebner, "kernel_projection",
+                        recording(groebner.kernel_projection))
+    made = []
+    for path in sorted(DATA.glob("*.mr")):
+        job = parse_input(path.read_text())
+        M = job.module()
+        ring, rel, F0 = M.ring, M.relations, M.F0
+        syz, one = syzygies(rel), MatrixOverS.identity(F0)
+        made += [rel, syz, rel.compose(syz), one, one.compose(rel)]
+        made += schreyer_frame(rel)
+        res = free_resolution(M)
+        made += res.differentials
+        made += [a.compose(b) for a, b in zip(res.differentials,
+                                              res.differentials[1:])]
+        for d in [(0,) * ring.r, (1,) + (0,) * (ring.r - 1), (1,) * ring.r]:
+            made.append(truncate_module(M, d).relations)
+            _, inc = truncate_free(F0, d)
+            made += [inc, inc.compose(MatrixOverS.identity(inc.source)),
+                     intersect_submodules(rel, inc)]
+        J = irrelevant_ideal(ring)
+        made += [colon_by_ideal(rel, J), saturate(rel, J)]
+        for t in (1, 2, 3):
+            made += bracket_power_complex(ring, t).differentials
+        if job.kind == "ideal":
+            made += koszul_complex(ring, job.ideal_gens).differentials
+    assert len(made) >= 200 and len(given) >= 90
+    assert homogeneity_violations(made + given) == []
 
 
 def test_buchberger_deterministic(P11):

@@ -175,6 +175,32 @@ def test_cli_region_negative_degree(capsys):
     assert json.loads(out)["minimal_generators"] == [list(g) for g in want]
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["region", "L", "30", "1,1,1,1,1,1,1,1"],
+     "level 30: region_L(30, [1, 1, 1, 1, 1, 1, 1, 1]), with 10,295,472 "
+     "minimal generators, would hold 82,363,776 entries"),
+    (["region", "L", "5000", "1,1"],
+     "--format text: a staircase plot of this region (--format json "
+     "prints its generators without one) would hold 25,050,025 entries"),
+], ids=["generators", "plot"])
+def test_cli_region_too_large_is_refused_quickly(argv, cause, capsys):
+    """A region with more generators than the listing budget, or a plot
+    of more cells, is a parse error reported at once, not a run until
+    memory runs out; the same region in JSON has no plot."""
+    start = time.perf_counter()
+    code, out, err = _run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cause}")
+
+
+def test_cli_region_json_of_a_region_too_large_to_plot(capsys):
+    code, out, _ = _run(["region", "L", "5000", "1,1", "--format", "json"],
+                        capsys)
+    assert code == 0
+    assert len(json.loads(out)["minimal_generators"]) == 5001
+
+
 def test_cli_betti_truncated(capsys):
     code, out, _ = _run(
         ["betti", str(DATA / "hyperelliptic.mr"), "--truncate-at", "2,1",

@@ -76,6 +76,25 @@ def test_region_L_of_a_large_antichain():
     assert len(gens) == comb(20, 4) == 4845
 
 
+def test_region_L_counts_before_listing():
+    """region_L refuses a generator list of more coordinates than the
+    listing budget before it lists any: C(31, 7) = 2,629,575 generators
+    of rank 8 are 21 million coordinates."""
+    with pytest.raises(ValueError, match=r"2,629,575 minimal generators, "
+                                         r"would hold 21,036,600 entries"):
+        region_L(24, (1,) * 8)
+    with pytest.raises(ValueError, match=r"10,295,472 minimal generators"):
+        region_Q(31, (2,) * 8)
+
+
+@pytest.mark.parametrize("draw", [staircase_text, staircase_svg])
+def test_staircase_plot_of_too_many_cells_is_refused(draw):
+    """The plot box of region_L(5000, (1, 1)) has 5005^2 cells, more
+    than the listing budget; the refusal points to the JSON output."""
+    with pytest.raises(ValueError, match=r"--format json.*25,050,025 entr"):
+        draw(region_L(5000, (1, 1)))
+
+
 def test_intersect_orthants():
     A = region_intersect(region_L(0, (1, 2)), region_Q(0, (1, 2)))
     assert A.minimal_generators == ((1, 2),)

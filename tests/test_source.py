@@ -254,3 +254,22 @@ def test_only_ringcore_and_groebner_read_term_keys():
             if hit:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_ringcore_and_parser_check_homogeneity():
+    """Homogeneity is checked where a matrix is built, by ringcore's
+    MatrixOverS, and where an input is read, by the parser with the
+    error's position.  No other module calls ``.degree(...)`` as a bare
+    statement, the mark of a call made only for the error it may raise,
+    such as a second check of columns a MatrixOverS already checked."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("ringcore.py", "parser.py"):
+            continue
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Expr)
+                    and isinstance(node.value, ast.Call)
+                    and isinstance(node.value.func, ast.Attribute)
+                    and node.value.func.attr == "degree"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
