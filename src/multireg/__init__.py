@@ -27,9 +27,9 @@ from .groebner import (
     buchberger,
     colon,
     colon_by_ideal,
+    factor_ideals,
     ideal_matrix,
     intersect_submodules,
-    irrelevant_ideal,
     normal_form,
     saturate,
     submodules_equal,

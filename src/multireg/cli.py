@@ -23,7 +23,7 @@ import warnings
 
 from .cohomology import local_cohomology_box
 from .errors import MultiregError, ParseError
-from .groebner import ideal_matrix, irrelevant_ideal, saturate
+from .groebner import factor_ideals, ideal_matrix, saturate
 from .parser import parse_input
 from .regions import (
     betti_bound_L,
@@ -268,7 +268,9 @@ def cmd_saturate(args):
     if job.kind != "ideal":
         raise MultiregError("saturate needs an ideal input")
     ring = job.ring
-    I = saturate(ideal_matrix(ring, job.ideal_gens), irrelevant_ideal(ring))
+    I = ideal_matrix(ring, job.ideal_gens)
+    for m in factor_ideals(ring):
+        I = saturate(I, m)
     gens = [str(I.entry(0, l)) for l in range(I.source.rank)]
     payload = {"schema": "multireg/ideal/v1", "generators": gens}
 

@@ -413,8 +413,11 @@ def _vanishing_regions(ring, d):
 def required_corners(ring, d):
     """All degree-box corners that the definition check reads: the
     minimal generators of its vanishing regions."""
-    return sorted({c for region in _vanishing_regions(ring, d)
-                   for c in region.minimal_generators})
+    return _corners(_vanishing_regions(ring, d))
+
+
+def _corners(regions):
+    return sorted({c for region in regions for c in region.minimal_generators})
 
 
 def check_regularity_by_definition(M, d, table=None):
@@ -432,7 +435,8 @@ def check_regularity_by_definition(M, d, table=None):
     """
     ring = M.ring
     d = checked_degree(d, ring.r)
-    corners = required_corners(ring, d)
+    vanishing = _vanishing_regions(ring, d)
+    corners = _corners(vanishing)
     if table is None:
         lo = tuple(min(c[j] for c in corners) for j in range(ring.r))
         hi_corner = tuple(max(c[j] for c in corners) for j in range(ring.r))
@@ -445,5 +449,4 @@ def check_regularity_by_definition(M, d, table=None):
         raise BoxTooSmall(
             f"box {lo}..{hi} misses required corners {missing[:4]}",
             missing=missing)
-    vanishing = _vanishing_regions(ring, d)
     return not any(vanishing[i].contains(pdeg) for i, pdeg in table.nonzero())

@@ -557,15 +557,27 @@ def ideal_matrix(ring, gens):
     return Presentation.quotient_by_ideal(ring, gens).relations
 
 
-def irrelevant_ideal(ring):
-    """Generators of the irrelevant ideal: all products of one
-    variable from each factor."""
-    return [Poly.monomial(ring, m) for m in ring.irrelevant_generators()]
+def factor_ideals(ring):
+    """The maximal ideals m_1, ..., m_r of the factors, each as the
+    variables of its block.  Their product is the irrelevant ideal B,
+    which is handled through them and never listed: it has
+    Pi(n_i + 1) generators where they have Sigma(n_i + 1).
+
+    Both uses are exact.  An associated prime of a module contains
+    B = m_1 ... m_r exactly when it contains some m_i, so M has no
+    B-torsion exactly when it has no m_i-torsion for any i.  And v lies
+    in (...((N : m_1^infinity) : m_2^infinity) ... : m_r^infinity)
+    exactly when m_r^k ... m_1^k v lies in N for some k, which is
+    B^k v, so that iterated saturation is (N : B^infinity).
+    """
+    return [[Poly.variable(ring, v) for v in ring.block(i)]
+            for i in range(ring.r)]
 
 
 def saturate(N, J):
     """(N : J^infinity): repeatedly colon by the generators of J until
-    the submodule stabilizes (reduced Groebner basis equality).
+    the submodule stabilizes (reduced Groebner basis equality).  The
+    saturation by B is by each of ``factor_ideals`` in turn.
 
     Each round computes the simultaneous colon (N : J), which equals
     the intersection of the one-generator colons.

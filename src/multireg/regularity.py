@@ -26,7 +26,7 @@ and resolved.
 import warnings
 
 from .errors import NotSaturatedError
-from .groebner import colon_by_ideal, irrelevant_ideal, quotient_ring_dimension
+from .groebner import colon_by_ideal, factor_ideals, quotient_ring_dimension
 from .pieces import GradedPieces
 from .regions import Region, region_L, region_Q
 from .resolution import betti, free_resolution
@@ -106,17 +106,21 @@ def classify_resolution(B):
 
 
 def module_is_saturated_at_zero(M):
-    """True when the relation submodule is its own colon by the
-    irrelevant ideal, i.e. M has no irrelevant torsion at all.
+    """True when M has no irrelevant torsion at all: when the relation
+    submodule is its own colon by each factor's maximal ideal m_i,
+    which holds exactly when it is its own colon by B = m_1 ... m_r
+    (``factor_ideals`` gives the proof).
 
-    The colon is taken of the reduced Groebner basis that
-    ``GradedPieces.of(M)`` shares, and the verdict is kept with it, so
-    one presentation runs one colon however often it is asked."""
+    The colons are taken of the reduced Groebner basis that
+    ``GradedPieces.of(M)`` shares, at most r of them, stopping at the
+    first that grows.  The verdict is kept with that basis, so one
+    presentation runs its colons once however often it is asked."""
     pieces = GradedPieces.of(M)
     if pieces.saturated_at_zero is None:
         rel = pieces.gb.as_matrix()
-        cln = colon_by_ideal(rel, irrelevant_ideal(M.ring))
-        pieces.saturated_at_zero = cln.columns == rel.columns
+        pieces.saturated_at_zero = all(
+            colon_by_ideal(rel, m).columns == rel.columns
+            for m in factor_ideals(M.ring))
     return pieces.saturated_at_zero
 
 

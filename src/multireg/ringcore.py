@@ -89,16 +89,20 @@ def is_prime(m):
     return True
 
 
-# RingSpec.irrelevant_generators lists Pi(n_i + 1) exponent tuples of
-# nvars entries each; n = [20000] would need 4 * 10^8 entries, gigabytes
-# of tuples, before any answer.  n = [3000] (9 * 10^6) stays accepted.
+# checked_dims bounds Pi(n_i + 1) * nvars, the entries of the irrelevant
+# ideal's Pi(n_i + 1) product generators written out as exponent tuples.
+# The package never lists them (groebner works with B's factors), but the
+# oracle's listings grow at least as fast: bracket_power_complex has
+# one generator per product at level one.  n = [20000] (4 * 10^8 entries)
+# is refused before any answer; n = [3000] (9 * 10^6) stays accepted.
 _MAX_LISTED_ENTRIES = 10 ** 7
 
 
 def _check_listing(entries, what):
     """Refuse to build ``what``, a list of ``entries`` integers, when
-    that is more than _MAX_LISTED_ENTRIES: the one budget for the
-    irrelevant ideal, region_L's generators and a staircase plot."""
+    that is more than _MAX_LISTED_ENTRIES: the one budget for a ring's
+    size (``checked_dims``), region_L's generators and a staircase
+    plot."""
     if entries > _MAX_LISTED_ENTRIES:
         raise ValueError(f"{what} would hold {entries:,} entries, more "
                          f"than {_MAX_LISTED_ENTRIES:,}")
@@ -106,7 +110,9 @@ def _check_listing(entries, what):
 
 def checked_dims(n):
     """``n`` as a tuple, after checking that it gives a product of
-    projective spaces small enough to list its irrelevant ideal."""
+    projective spaces whose irrelevant ideal, written out as its
+    Pi(n_i + 1) products of one variable per factor, would fit the
+    listing budget."""
     n = tuple(int(x) for x in n)
     if not n or min(n) < 1:
         raise ValueError("factor dimensions must be one or more numbers "
@@ -260,18 +266,6 @@ class RingSpec:
         """Multidegree of an exponent tuple: per-block exponent sums."""
         bs = self._block_start
         return tuple(sum(m[bs[i]:bs[i + 1]]) for i in range(self.r))
-
-    def irrelevant_generators(self):
-        """The products (one variable per block) generating the
-        irrelevant ideal, in deterministic order."""
-        blocks = [list(self.block(i)) for i in range(self.r)]
-        gens = []
-        for combo in _iterproduct(*blocks):
-            m = [0] * self.nvars
-            for v in combo:
-                m[v] += 1
-            gens.append(tuple(m))
-        return gens
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Shared rings, example modules, corpus helpers, and the dense
-references for graded pieces, for the reduced row echelon form and for
-the oracle's Ext ranks."""
+"""Shared rings, example modules, corpus helpers, the dense references
+for graded pieces, for the reduced row echelon form and for the
+oracle's Ext ranks, the by-B references for saturation and torsion, and
+the virtual-resolution check of a region's degrees."""
 
 import random
-from itertools import accumulate
+from functools import reduce
+from itertools import accumulate, product
+from operator import mul
 
 import numpy as np
 import pytest
@@ -15,18 +18,25 @@ from multireg import (
     Poly,
     Presentation,
     RingSpec,
+    Vector,
     betti,
+    buchberger,
+    colon_by_ideal,
+    factor_ideals,
     free_resolution,
     ideal_matrix,
-    irrelevant_ideal,
     modp,
     monomials_of_degree,
+    normal_form,
     poly_from_string,
     saturate,
     structure_sheaf_local_cohomology,
+    submodules_equal,
+    syzygies,
 )
-from multireg.ringcore import (box_points, checked_degree, deg_add, deg_sub,
-                               mono_mul, vec_entries)
+from multireg.groebner import preimage
+from multireg.ringcore import (box_points, checked_degree, deg_add, deg_leq,
+                               deg_sub, mono_mul, vec_entries, vec_renumber)
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +61,30 @@ def P111():
 
 def pp(ring, text):
     return poly_from_string(ring, text)
+
+
+# ---------------------------------------------------------------------------
+# the irrelevant ideal B = m_1 ... m_r: the library works with the factors
+# m_i alone, and these references list B's products to check it
+
+def irrelevant_ideal(ring):
+    """The Pi(n_i + 1) generators of B: every product of one variable
+    from each factor, in the order of ``itertools.product``."""
+    return [reduce(mul, gens) for gens in product(*factor_ideals(ring))]
+
+
+def saturate_by_factors(N):
+    """(N : B^infinity) as ``multireg saturate`` takes it: by each
+    factor's maximal ideal in turn."""
+    for m in factor_ideals(N.ring):
+        N = saturate(N, m)
+    return N
+
+
+def torsion_free_by_B(M):
+    """``module_is_saturated_at_zero`` by one colon by B's products."""
+    rel = buchberger(M.relations).as_matrix()
+    return colon_by_ideal(rel, irrelevant_ideal(M.ring)).columns == rel.columns
 
 
 @pytest.fixture(scope="session")
@@ -89,7 +123,7 @@ def hyperelliptic(P12):
     (2,8), as a matrix into S; computed once per session."""
     f1 = pp(P12, "x0^2*y0^2 + x1^2*y1^2 + x0*x1*y2^2")
     f2 = pp(P12, "x0^3*y2 + x1^3*(y0 + y1)")
-    return saturate(ideal_matrix(P12, [f1, f2]), irrelevant_ideal(P12))
+    return saturate_by_factors(ideal_matrix(P12, [f1, f2]))
 
 
 @pytest.fixture(scope="session")
@@ -158,7 +192,7 @@ def random_saturated_quotient(ring, rng, ngens=None, maxdeg=2,
     if ngens is None:
         ngens = rng.randint(2, 3)
     gens = [random_homogeneous_gen(ring, rng, maxdeg) for _ in range(ngens)]
-    I = saturate(ideal_matrix(ring, gens), irrelevant_ideal(ring))
+    I = saturate_by_factors(ideal_matrix(ring, gens))
     if I.source.rank == 0:
         return None
     if any(not any(mono) for (_, mono), _ in
@@ -342,3 +376,67 @@ def reduced_form(echelon, ncols, p):
     for i, c in enumerate(pivots):
         R[i, list(rows[c])] = list(rows[c].values())
     return R
+
+
+# ---------------------------------------------------------------------------
+# virtual resolutions: a third check of a region, independent of the
+# truncations and of the oracle
+
+def virtual_resolution_violations(M, d):
+    """Where the summands S(-a) of M's minimal free resolution with
+    a <= d + n fail to form a virtual resolution of M, as one message
+    per failure.  Berkesch, Erman and Smith ("Virtual resolutions for a
+    product of projective spaces", Algebraic Geometry 7, 2020, Theorem
+    1.3) prove that they form one for every d in reg(M).
+
+    The summands form a subcomplex G, since every nonzero entry of a
+    minimal resolution has a degree >= 0; a column that leaves them is
+    reported.  G is a virtual resolution when its homology is B-torsion
+    in every index i >= 1, which is ker d_i lying in the saturation of
+    im d_{i+1} by B, and when H_0(G) -> M, induced by G_0 inside F_0,
+    has B-torsion kernel and cokernel.  Saturations are by the factors
+    in turn.  M's presentation must be minimal, so that F_0 is M.F0."""
+    ring = M.ring
+    top = deg_add(checked_degree(d, ring.r), ring.n)
+    res = free_resolution(M)
+    assert res.terms[0] == M.F0
+    assert submodules_equal(res.differentials[0], M.relations)
+    keep = [[k for k, tw in enumerate(F.twists) if deg_leq(tw, top)]
+            for F in res.terms]
+    G = [FreeModuleSpec(ring, [F.twists[k] for k in ks])
+         for F, ks in zip(res.terms, keep)]
+    bad, diffs = [], []
+    for i, D in enumerate(res.differentials, start=1):
+        rows = {k: j for j, k in enumerate(keep[i - 1])}
+        cols = []
+        for k in keep[i]:
+            col = vec_renumber(D.columns[k].terms, rows)
+            if len(col) < len(D.columns[k].terms):
+                bad.append(f"d_{i} column {k} leaves the summands")
+            cols.append(Vector(col))
+        diffs.append(MatrixOverS(G[i], G[i - 1], cols))
+    if bad:
+        return bad
+
+    def outside_saturation(vectors, N):
+        gb = buchberger(saturate_by_factors(N))
+        return sum(1 for v in vectors if normal_form(v, gb))
+
+    for i in range(1, len(G)):
+        if not G[i].rank:
+            continue
+        above = diffs[i] if i < len(diffs) else MatrixOverS(
+            FreeModuleSpec(ring, ()), G[i], ())
+        if n := outside_saturation(syzygies(diffs[i - 1]).columns, above):
+            bad.append(f"H_{i}: {n} kernel generators not B-torsion")
+    F0 = M.F0
+    inc = MatrixOverS(G[0], F0, [Vector.unit(ring, k) for k in keep[0]])
+    if G[0].rank:
+        ker = preimage(inc, M.relations).columns
+        if n := outside_saturation(ker, diffs[0]):
+            bad.append(f"ker H_0: {n} generators not B-torsion")
+    image = MatrixOverS.from_columns(F0, inc.columns + M.relations.columns)
+    units = [Vector.unit(ring, k) for k in range(F0.rank)]
+    if n := outside_saturation(units, image):
+        bad.append(f"coker H_0: {n} generators of M not B-torsion")
+    return bad

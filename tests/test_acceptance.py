@@ -29,9 +29,9 @@ from multireg import (
     hilbert_function,
     ideal_matrix,
     intersect_submodules,
-    irrelevant_ideal,
     is_d_regular,
     local_cohomology_box,
+    module_is_saturated_at_zero,
     monomials_of_degree,
     normal_form,
     buchberger,
@@ -54,9 +54,11 @@ from .conftest import (
     SB_P12_BETTI,
     check_exactness,
     homogeneity_violations,
+    irrelevant_ideal,
     pp,
     random_saturated_quotient,
     table_euler_violations,
+    torsion_free_by_B,
 )
 
 
@@ -256,6 +258,16 @@ def test_criterion_7_tables_keep_the_euler_identity():
     for M, table, _ in corpus:
         assert not table_euler_violations(M, table), M.ring.n
     assert len(corpus) == 50
+
+
+def test_criterion_7_torsion_verdicts_by_factors_equal_those_by_B():
+    """Criterion 7's 50 modules were saturated factor by factor, and the
+    torsion check taken factor by factor finds them saturated, as one
+    colon by B's products does."""
+    corpus = _criterion_7_corpus()
+    verdicts = [(module_is_saturated_at_zero(M), torsion_free_by_B(M))
+                for M, _, _ in corpus]
+    assert verdicts == [(True, True)] * 50
 
 
 # -------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from multireg import (
     check_regularity_by_definition,
     free_resolution,
     hilbert_function,
-    irrelevant_ideal,
     is_d_regular,
     line_bundle_cohomology,
     local_cohomology_box,
@@ -36,8 +35,8 @@ from multireg.ringcore import (FreeModuleSpec, box_points, count_monomials,
                                deg_add, deg_sub)
 
 from .conftest import (euler_violations, free_basis_of_degree,
-                       full_rank_ext_dims, reduced_form, saturated_corpus,
-                       table_euler_violations)
+                       full_rank_ext_dims, irrelevant_ideal, reduced_form,
+                       saturated_corpus, table_euler_violations)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

@@ -21,7 +21,6 @@ from multireg import (
     free_resolution,
     ideal_matrix,
     intersect_submodules,
-    irrelevant_ideal,
     koszul_complex,
     monomials_of_degree,
     normal_form,
@@ -38,7 +37,8 @@ from multireg.groebner import schreyer_frame
 from multireg.ringcore import term_key, vec_add, vec_entries, vec_scale
 
 from .conftest import (dense_hilbert_function, free_basis_of_degree,
-                       graded_block, homogeneity_violations, pp,
+                       graded_block, homogeneity_violations,
+                       irrelevant_ideal, pp,
                        random_homogeneous_gen, saturated_corpus)
 
 DATA = Path(__file__).resolve().parent.parent / "data"

@@ -251,6 +251,17 @@ def test_cli_saturate_roundtrip(tmp_path, capsys):
     assert len(job.ideal_gens) >= 8
 
 
+def test_cli_saturate_by_every_factor(tmp_path, capsys):
+    """(x0*y0, x0*y1, x1*y0) keeps torsion after a saturation by either
+    factor alone, (y0, x0*y1) by m_1 and (x0, x1*y0) by m_2; by B it is
+    the point (x0, y0)."""
+    job = tmp_path / "torsion.mr"
+    job.write_text("ring p=32003 n=[1,1]\nideal x0*y0; x0*y1; x1*y0\n")
+    code, out, _ = _run(["saturate", str(job), "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["generators"] == ["y0", "x0"]
+
+
 def test_cli_ci_regularity_degrees(capsys):
     code, out, _ = _run(["ci-regularity", "--degrees", "1,1", "1,2",
                          "--format", "json"], capsys)

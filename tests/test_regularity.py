@@ -16,10 +16,10 @@ from multireg import (
     check_regularity_by_definition,
     ci_regularity,
     classify_resolution,
+    factor_ideals,
     free_resolution,
     ideal_matrix,
     intersect_submodules,
-    irrelevant_ideal,
     is_d_regular,
     local_cohomology_box,
     module_is_saturated_at_zero,
@@ -27,6 +27,8 @@ from multireg import (
     multigraded_regularity,
     parse_input,
     region_subset,
+    saturate,
+    submodules_equal,
     truncate_module,
     truncation_region,
     verify_ci_hypotheses,
@@ -38,7 +40,9 @@ from multireg.pieces import GradedPieces
 from multireg.regularity import BoxBoundaryWarning, _truncation_verdict
 from multireg.ringcore import deg_leq
 
-from .conftest import pp, saturated_corpus
+from .conftest import (irrelevant_ideal, pp, saturate_by_factors,
+                       saturated_corpus, torsion_free_by_B,
+                       virtual_resolution_violations)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -102,7 +106,8 @@ def test_is_d_regular_hyperelliptic(hyperelliptic_module):
 def test_saturation_checked_once_per_presentation(not_linear_module,
                                                   monkeypatch):
     """The torsion verdict is kept with the presentation's graded
-    pieces: four point checks and one region search run one colon."""
+    pieces: the first point check runs at most one colon per factor,
+    and three more point checks and one region search run none."""
     calls = []
 
     def counting_colon(N, gens):
@@ -112,13 +117,16 @@ def test_saturation_checked_once_per_presentation(not_linear_module,
     monkeypatch.setattr(regularity, "colon_by_ideal", counting_colon)
     # a fresh presentation, so no earlier test has left a verdict
     M = Presentation(not_linear_module.F0, not_linear_module.relations)
-    verdicts = [is_d_regular(M, d) for d in ((1, 0), (0, 1), (1, 1), (2, 2))]
-    assert verdicts == [True, False, True, True]
+    assert is_d_regular(M, (1, 0))
+    first = len(calls)
+    assert 1 <= first <= M.ring.r
+    verdicts = [is_d_regular(M, d) for d in ((0, 1), (1, 1), (2, 2))]
+    assert verdicts == [False, True, True]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoxBoundaryWarning)
         R = multigraded_regularity(M, ((0, 0), (3, 3)))
     assert R.minimal_generators == ((1, 0),)
-    assert len(calls) == 1
+    assert len(calls) == first
 
 
 def test_is_d_regular_requires_saturation(P12):
@@ -380,6 +388,78 @@ def test_ci_corpus_agrees_with_the_truncation_search():
             (ring.n, degs)
     assert (len(draws), len(failed)) == (25, 10)
     assert all(n == (1, 1) and len(degs) == 2 for n, degs in failed)
+
+
+def test_ci_corpus_torsion_verdicts_by_factors_equal_those_by_B(
+        monkeypatch):
+    """Every torsion verdict the complete-intersection corpus asks for,
+    taken factor by factor, equals the one of a single colon by B's
+    products: the corpus test above runs with the verdicts recorded."""
+    asked = []
+    by_factors = regularity.module_is_saturated_at_zero
+
+    def recording(M):
+        asked.append((M, by_factors(M)))
+        return asked[-1][1]
+
+    monkeypatch.setattr(regularity, "module_is_saturated_at_zero", recording)
+    test_ci_corpus_agrees_with_the_truncation_search()
+    # 25 hypothesis checks, 10 refused for torsion, and 15 region searches
+    assert sorted(v for _, v in asked) == [False] * 10 + [True] * 30
+    assert [v for _, v in asked] == [torsion_free_by_B(M) for M, _ in asked]
+
+
+def test_saturation_by_factors_equals_saturation_by_B(P11, P12):
+    """Saturating by m_1, ..., m_r in turn gives the reduced basis that
+    saturating by B does, and the torsion verdicts agree, on every data
+    file, on x0*m_2 and y0*m_1, whose torsion only one factor sees, and
+    on ideals (f*x0, g*y0, f*g) with f, g dense of degree (1,1).  Their
+    saturations all grow, as that of ``hyperelliptic_raw.mr`` does."""
+    inputs = [parse_input(path.read_text()).module().relations
+              for path in sorted(DATA.glob("*.mr"))]
+    m1, m2 = factor_ideals(P12)
+    inputs += [ideal_matrix(P12, [m1[0] * y for y in m2]),
+               ideal_matrix(P12, [m2[0] * x for x in m1])]
+    rng = random.Random(3)
+    for ring in (P11, P12):
+        x0, y0 = (Poly.variable(ring, ring.block(i)[0]) for i in (0, 1))
+        for _ in range(4):
+            f, g = (_dense_form(ring, (1, 1), rng) for _ in range(2))
+            inputs.append(ideal_matrix(ring, [f * x0, g * y0, f * g]))
+    grew = []
+    for N in inputs:
+        S = saturate_by_factors(N)
+        assert S.columns == saturate(N, irrelevant_ideal(N.ring)).columns
+        M = Presentation(N.target, N)
+        assert module_is_saturated_at_zero(M) == torsion_free_by_B(M)
+        grew.append(not submodules_equal(S, N))
+    # the data files in name order, then the two products and eight draws
+    assert grew == [False, False, True, False, False] + [True] * 10
+
+
+def test_region_minima_give_virtual_resolutions():
+    """A third check of the regions, independent of the truncations and
+    of the oracle (Berkesch, Erman and Smith, Theorem 1.3): at every
+    minimal element d of the region of each saturated data file, the
+    summands of M's minimal resolution with twists <= d + n form a
+    virtual resolution of M.  The check is one-sided, since a degree
+    outside the region may pass it too, so it must also fail one step
+    below each minimum, at d - (1,...,1)."""
+    checked = 0
+    for path in sorted(DATA.glob("*.mr")):
+        M = parse_input(path.read_text()).module()
+        if not module_is_saturated_at_zero(M):
+            continue
+        box = ((0,) * M.ring.r, (5,) * M.ring.r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BoxBoundaryWarning)
+            minima = multigraded_regularity(M, box).minimal_generators
+        for d in minima:
+            assert virtual_resolution_violations(M, d) == [], (path, d)
+            below = tuple(x - 1 for x in d)
+            assert virtual_resolution_violations(M, below), (path, below)
+            checked += 1
+    assert checked == 9
 
 
 def test_ms_two_point_example(P111):

@@ -11,7 +11,6 @@ from multireg import (
     Presentation,
     betti,
     free_resolution,
-    irrelevant_ideal,
     is_minimal_complex,
     koszul_complex,
     minimalize,
@@ -22,7 +21,7 @@ from multireg.resolution import FreeComplex
 from multireg.ringcore import vec_constants
 
 from .conftest import (SB_P12_BETTI, HYPERELLIPTIC_BETTI, check_exactness,
-                       pp, random_saturated_quotient)
+                       irrelevant_ideal, pp, random_saturated_quotient)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 

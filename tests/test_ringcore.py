@@ -33,7 +33,7 @@ from multireg.ringcore import (
     vec_renumber,
 )
 
-from .conftest import free_basis_of_degree, pp
+from .conftest import free_basis_of_degree, irrelevant_ideal, pp
 
 
 def test_ring_validation():
@@ -245,7 +245,6 @@ def test_hilbert_function_formula(P12, P111):
 
 
 def test_hilbert_function_sb(P12):
-    from multireg import irrelevant_ideal
     SB = Presentation.quotient_by_ideal(P12, irrelevant_ideal(P12))
     assert hilbert_function(SB, (1, 1)) == 0
     assert hilbert_function(SB, (3, 0)) == 4

@@ -273,3 +273,20 @@ def test_only_ringcore_and_parser_check_homogeneity():
                     and node.value.func.attr == "degree"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_no_module_lists_the_irrelevant_ideal():
+    """B = m_1 ... m_r has one definition, ``groebner.factor_ideals``,
+    and the torsion check and saturation go through its factors: no
+    package module defines or reads ``irrelevant_ideal`` or
+    ``irrelevant_generators``, the listings of B's Pi(n_i + 1)
+    products.  The tests keep their own listing as a reference."""
+    listed = {"irrelevant_ideal", "irrelevant_generators"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_tree(path)):
+            names = {getattr(node, a, None)
+                     for a in ("id", "attr", "name", "asname")}
+            if names & listed:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
